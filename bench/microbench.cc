@@ -10,9 +10,8 @@
  *  - full FetchEngine fetches/sec for each L1-L2 interface policy
  *    the paper evaluates (blocking baseline, on-chip L2, prefetch +
  *    bypass, pipelined L2 + stream buffer);
- *  - trace materialization cold (workload random walk) vs warm
- *    (decode from the IBS_TRACE_CACHE_DIR-style on-disk cache),
- *    which is what the shared trace cache buys every bench binary.
+ *  - trace generation: the flat-trace random walk, the run-length
+ *    encoding, and fused streaming generate+replay.
  *
  * The trace length honours IBS_BENCH_INSTR (default 1M), so the
  * perf_smoke ctest can run the whole harness in well under a second.
@@ -24,10 +23,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include <unistd.h>
-
-#include <bit>
-#include <filesystem>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,9 +39,9 @@
 #include "sim/runner.h"
 #include "trace/file.h"
 #include "trace/run_trace.h"
-#include "trace/trace_cache.h"
 #include "workload/ibs.h"
 #include "workload/model.h"
+#include "workload/run_stream.h"
 
 namespace {
 
@@ -249,11 +245,11 @@ baselineRuns()
  * The headline A/B of the run-length fetch path: one iteration is a
  * fresh FetchEngine (economy baseline) over the whole shared trace,
  * replayed either via fetchRun over the compressed runs (batched:1,
- * what SuiteTraces::runOne does by default) or via the scalar
- * per-instruction fetch() loop (batched:0, the IBS_FETCH_SCALAR=1
- * path). Identical work per iteration, so fetches_per_second is
- * directly comparable — scripts/check_bench_json.sh compares the two
- * cells, and the EXPERIMENTS.md throughput table quotes them.
+ * what SuiteTraces::runOne does) or via the scalar per-instruction
+ * fetch() loop (batched:0, the tests' oracle). Identical work per
+ * iteration, so fetches_per_second is directly comparable —
+ * scripts/check_bench_json.sh compares the two cells, and the
+ * EXPERIMENTS.md throughput table quotes them.
  */
 void
 BM_BatchedVsScalar(benchmark::State &state)
@@ -288,55 +284,28 @@ BENCHMARK(BM_BatchedVsScalar)
     ->MinTime(0.25);
 
 /**
- * The headline A/B of the zero-materialization path: one iteration
- * generates the workload from scratch *and* replays it through the
- * economy baseline, either fused (streaming:1 — WorkloadModel blocks
- * through a RunStream straight into fetchRun; no flat vector, no
- * stored RunTrace) or via the materialize pipeline (streaming:0 —
- * flat address vector, compressRuns, then the batched replay; what
- * every sweep paid before streaming and what IBS_STREAM_GEN=0 still
- * pays). Identical simulated work per iteration, so
- * fetches_per_second is directly comparable; peak_trace_bytes
- * records each variant's high-water trace footprint (one in-flight
- * FetchRun vs flat vector + run trace), which is what the streaming
- * path exists to eliminate. scripts/check_bench_json.sh warn-gates
- * the ratio and the EXPERIMENTS.md table quotes both cells.
+ * The zero-materialization path end to end: one iteration generates
+ * the workload from scratch and replays it through the economy
+ * baseline, fused — WorkloadModel blocks flow through a RunStream
+ * straight into fetchRun, with no flat vector and no stored
+ * RunTrace, only the one in-flight FetchRun. fetches_per_second
+ * therefore prices generation plus replay.
  */
 void
-BM_StreamVsMaterialize(benchmark::State &state)
+BM_StreamedReplay(benchmark::State &state)
 {
-    const bool streaming = state.range(0) != 0;
     const FetchConfig config = economyBaseline();
     const WorkloadSpec spec = makeIbs(IbsBenchmark::Gs, OsType::Mach);
     const uint64_t n = traceLength();
-    uint64_t peak_bytes = 0;
     uint64_t instrs = 0;
     for (auto _ : state) {
         FetchEngine engine(config);
-        if (streaming) {
-            WorkloadModel model(spec);
-            RunStream stream(model, config.l1.lineBytes, n);
-            FetchRun run;
-            while (stream.next(run))
-                engine.fetchRun(run);
-            instrs = stream.instructions();
-            peak_bytes = sizeof(FetchRun); // One in-flight run.
-        } else {
-            WorkloadModel model(spec);
-            std::vector<uint64_t> addrs;
-            addrs.reserve(n);
-            TraceRecord rec;
-            while (addrs.size() < n && model.next(rec)) {
-                if (rec.isInstr())
-                    addrs.push_back(rec.vaddr);
-            }
-            const RunTrace rt =
-                compressRuns(addrs, config.l1.lineBytes);
-            for (const FetchRun &run : rt.runs)
-                engine.fetchRun(run);
-            instrs = addrs.size();
-            peak_bytes = addrs.size() * sizeof(uint64_t) + rt.bytes();
-        }
+        WorkloadModel model(spec);
+        RunStream stream(model, config.l1.lineBytes, n);
+        FetchRun run;
+        while (stream.next(run))
+            engine.fetchRun(run);
+        instrs = stream.instructions();
         benchmark::DoNotOptimize(engine.stats().cycles);
     }
     const auto fetches =
@@ -344,78 +313,41 @@ BM_StreamVsMaterialize(benchmark::State &state)
     state.SetItemsProcessed(static_cast<int64_t>(fetches));
     state.counters["fetches_per_second"] = benchmark::Counter(
         static_cast<double>(fetches), benchmark::Counter::kIsRate);
-    state.counters["peak_trace_bytes"] =
-        static_cast<double>(peak_bytes);
 }
-BENCHMARK(BM_StreamVsMaterialize)
-    ->ArgNames({"streaming"})
-    ->Arg(1)
-    ->Arg(0)
-    ->MinTime(0.25);
+BENCHMARK(BM_StreamedReplay)->MinTime(0.25);
 
 /**
  * The vectorized set-associative tag probe (Cache::probeWays, used by
- * every lookup) against a bench-local copy of the scalar first-match
- * loop it replaced, over identical 8-way tag rows with the same
- * hit-way distribution. All probes hit — the working set exactly
- * fills the cache — so this isolates probe cost from allocation.
- * scripts/check_bench_json.sh warn-gates simd:1 against simd:0: the
- * vectorized probe must not be slower.
+ * every lookup) on a 64-KB 8-way cache. All probes hit — the working
+ * set exactly fills the cache — so this isolates probe cost from
+ * allocation.
  */
 void
 BM_SimdProbe(benchmark::State &state)
 {
-    const bool simd = state.range(0) != 0;
     constexpr uint32_t kWays = 8;
     constexpr uint32_t kLine = 32;
     const CacheConfig cfg{64 * 1024, kWays, kLine, Replacement::LRU};
     Cache cache(cfg);
     const uint64_t lines = cfg.sizeBytes / kLine;
-    const uint64_t num_sets = lines / kWays;
-    // Line i carries tag i into set i & (num_sets-1); the first
-    // `lines` line addresses fill every way of every set with no
-    // evictions. insert() fills invalid ways lowest-first, so set s
-    // holds tags s, s+num_sets, ... way-major — mirrored exactly in
-    // the scalar reference rows below.
-    std::vector<uint64_t> rows(lines);
-    for (uint64_t i = 0; i < lines; ++i) {
+    // The first `lines` line addresses fill every way of every set
+    // with no evictions.
+    for (uint64_t i = 0; i < lines; ++i)
         cache.insert(i * kLine);
-        rows[(i & (num_sets - 1)) * kWays + i / num_sets] = i;
-    }
-    const unsigned shift =
-        static_cast<unsigned>(std::countr_zero(kLine));
     uint64_t x = 0x9e3779b97f4a7c15ull; // xorshift64 probe sequence
     for (auto _ : state) {
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
         const uint64_t addr = (x & (lines - 1)) * kLine;
-        if (simd) {
-            benchmark::DoNotOptimize(cache.contains(addr));
-        } else {
-            const uint64_t tag = addr >> shift;
-            const uint64_t *row =
-                rows.data() + (tag & (num_sets - 1)) * kWays;
-            bool hit = false;
-            for (uint32_t w = 0; w < kWays; ++w) {
-                if (row[w] == tag) {
-                    hit = true;
-                    break;
-                }
-            }
-            benchmark::DoNotOptimize(hit);
-        }
+        benchmark::DoNotOptimize(cache.contains(addr));
     }
     state.SetItemsProcessed(state.iterations());
     state.counters["probes_per_second"] = benchmark::Counter(
         static_cast<double>(state.iterations()),
         benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_SimdProbe)
-    ->ArgNames({"simd"})
-    ->Arg(1)
-    ->Arg(0)
-    ->MinTime(0.25);
+BENCHMARK(BM_SimdProbe)->MinTime(0.25);
 
 /**
  * Cost of building the run-length encoding itself — what a sweep
@@ -519,7 +451,7 @@ BENCHMARK(BM_ObsOverhead)
     ->Arg(4)
     ->MinTime(0.25);
 
-/** Instructions materialized per workload in the cold/warm pair;
+/** Instructions materialized per workload by BM_TraceMaterializeCold;
  *  scaled down from the replay-trace length so one iteration stays
  *  cheap enough to repeat. */
 uint64_t
@@ -529,19 +461,8 @@ materializeLength()
     return n ? n : 1;
 }
 
-/** Scratch trace-cache directory for the warm-materialization
- *  benchmark; removed on process exit. */
-const std::string &
-scratchCacheDir()
-{
-    static const std::string dir =
-        (std::filesystem::temp_directory_path() /
-         ("ibs_microbench_cache_" + std::to_string(::getpid())))
-            .string();
-    return dir;
-}
-
-/** Cold path: run the workload random walk. */
+/** Flat-trace materialization: the workload random walk that
+ *  SuiteTraces::addresses pays on first use. */
 void
 BM_TraceMaterializeCold(benchmark::State &state)
 {
@@ -549,34 +470,14 @@ BM_TraceMaterializeCold(benchmark::State &state)
         makeIbs(IbsBenchmark::Gs, OsType::Mach)};
     const uint64_t n = materializeLength();
     for (auto _ : state) {
-        SuiteTraces traces(suite, n, "", 1, false);
-        // Streaming suites defer generation; the flat-trace request
-        // is what forces the cold walk this cell measures.
+        SuiteTraces traces(suite, n);
+        // Construction defers generation; the flat-trace request is
+        // what forces the walk this cell measures.
         benchmark::DoNotOptimize(traces.addresses(0).size());
     }
     state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_TraceMaterializeCold);
-
-/** Warm path: decode the same trace from the on-disk cache. */
-void
-BM_TraceMaterializeCached(benchmark::State &state)
-{
-    const std::vector<WorkloadSpec> suite = {
-        makeIbs(IbsBenchmark::Gs, OsType::Mach)};
-    const uint64_t n = materializeLength();
-    // Populate the scratch cache once; every timed construction
-    // below is then a pure cached load.
-    SuiteTraces warmup(suite, n, scratchCacheDir(), 1, false);
-    for (auto _ : state) {
-        SuiteTraces traces(suite, n, scratchCacheDir(), 1, false);
-        if (!traces.fromCache(0))
-            state.SkipWithError("trace cache miss on warm path");
-        benchmark::DoNotOptimize(traces.length(0));
-    }
-    state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_TraceMaterializeCached);
 
 void
 BM_TraceFileWrite(benchmark::State &state)
@@ -676,7 +577,5 @@ main(int argc, char **argv)
     benchmark::RunSpecifiedBenchmarks(&reporter);
     benchmark::Shutdown();
     report.write();
-    std::error_code ec;
-    std::filesystem::remove_all(scratchCacheDir(), ec);
     return 0;
 }

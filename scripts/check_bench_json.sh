@@ -89,16 +89,6 @@ if [ "$bench_name" = "microbench" ]; then
     "$validator" --compare-rate-warn "$report" \
         "BM_BatchedVsScalar/batched:1" "BM_BatchedVsScalar/batched:0" \
         1.5
-    # Warn-only: fused generate+replay (no flat vector, no stored
-    # RunTrace) should beat materialize-compress-replay by >=1.15x
-    # (EXPERIMENTS.md "Streaming generation").
-    "$validator" --compare-rate-warn "$report" \
-        "BM_StreamVsMaterialize/streaming:1" \
-        "BM_StreamVsMaterialize/streaming:0" 1.15
-    # Warn-only: the vectorized tag probe must not lose to the scalar
-    # first-match loop it replaced.
-    "$validator" --compare-rate-warn "$report" \
-        "BM_SimdProbe/simd:1" "BM_SimdProbe/simd:0" 1.0
 fi
 
 # Warn-only: the collapsed sweep executor should beat the per-cell

@@ -75,12 +75,11 @@ class FetchEngine
     void fetchRun(const FetchRun &run);
 
     /**
-     * Record that `runs` fetchRun() calls were fed straight from a
-     * streaming generator (workload/run_stream.h) rather than a
-     * materialized RunTrace. Observability-only — published as
-     * fetch.engine.stream_runs; simulated statistics are unaffected.
-     * Called by streaming drivers (sim/runner.h runFetchStreamed)
-     * after the replay loop.
+     * Record that `runs` fetchRun() calls were fed from a streamed
+     * run trace (workload/run_stream.h). Observability-only —
+     * published as fetch.engine.stream_runs; simulated statistics
+     * are unaffected. Called by SuiteTraces::runOne after its replay
+     * loop.
      */
     void noteStreamRuns(uint64_t runs) { streamRuns_ += runs; }
 

@@ -3,7 +3,7 @@
  * Hierarchical counter/gauge/histogram registry.
  *
  * Simulation components (Cache, VictimCache, SubBlockCache,
- * StreamBuffer, FetchEngine, Tlb, the trace cache) publish their
+ * StreamBuffer, FetchEngine, Tlb) publish their
  * event counts here so long runs are observable without perturbing
  * the experiment, and the serving layer (src/serve) records its
  * request telemetry through the same surface. Names follow

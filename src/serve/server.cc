@@ -28,7 +28,6 @@
 #include "sim/collapse.h"
 #include "sim/parallel.h"
 #include "sim/sweep.h"
-#include "trace/trace_cache.h"
 
 namespace ibs::serve {
 
@@ -523,9 +522,7 @@ Server::handleSweep(int fd, const Json &request,
             memoKey(sweep),
             [&] {
                 return std::make_shared<const SuiteTraces>(
-                    sweep.workloads, sweep.instructions,
-                    traceCacheDir(), config_.threads,
-                    /*log_cache_hits=*/false);
+                    sweep.workloads, sweep.instructions);
             },
             &memo_hit);
     } catch (const std::exception &e) {

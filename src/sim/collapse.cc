@@ -68,9 +68,7 @@ publishCollapsedCell(const MissStream &ms, const FetchStats &stats,
     obs::Registry &registry = obs::Registry::global();
     if (!registry.enabled())
         return;
-    if (ms.streamedReplay) {
-        registry.add("workload.model.runs_emitted", ms.runsReplayed);
-    }
+    registry.add("workload.model.runs_emitted", ms.runsReplayed);
     registry.add("cache.l1.accesses", ms.l1Accesses);
     registry.add("cache.l1.hits", ms.l1Hits);
     registry.add("cache.l1.misses", ms.l1Accesses - ms.l1Hits);
@@ -92,8 +90,7 @@ publishCollapsedCell(const MissStream &ms, const FetchStats &stats,
     registry.add("fetch.engine.stream_buffer_hits", 0);
     registry.add("fetch.engine.batched_runs", ms.batchedRuns);
     registry.add("fetch.engine.batch_fallbacks", ms.batchFallbacks);
-    registry.add("fetch.engine.stream_runs",
-                 ms.streamedReplay ? ms.runsReplayed : 0);
+    registry.add("fetch.engine.stream_runs", ms.runsReplayed);
     registry.observe("sim.cell.instructions", stats.instructions);
 }
 

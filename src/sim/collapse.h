@@ -40,10 +40,11 @@
  * pipelined/stream-buffer, unified L2) and singleton groups keep the
  * existing per-cell path.
  *
- * Collapsing is on by default; IBS_SWEEP_COLLAPSE=0 is the escape
- * hatch (house style of IBS_FETCH_SCALAR / IBS_STREAM_GEN, read per
- * call). Results are bit-identical either way — enforced by the
- * sweep_collapse_* tests and the fig3/fig4/table5 stdout-diff ctest.
+ * Collapsing is on by default; IBS_SWEEP_COLLAPSE=0 (read per call)
+ * forces full per-cell simulation, which bench/sweep_collapse uses
+ * as its A/B baseline. Results are bit-identical either way —
+ * enforced by the sweep_collapse_* tests and the fig3/fig4/table5
+ * stdout-diff ctest.
  */
 
 #ifndef IBS_SIM_COLLAPSE_H

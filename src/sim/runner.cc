@@ -11,9 +11,7 @@
 #include "obs/log.h"
 #include "obs/registry.h"
 #include "obs/timer.h"
-#include "sim/parallel.h"
-#include "sim/sweep.h"
-#include "trace/trace_cache.h"
+#include "workload/run_stream.h"
 
 namespace ibs {
 
@@ -48,78 +46,17 @@ benchInstructions(uint64_t fallback)
     return parseEnvCount("IBS_BENCH_INSTR", fallback);
 }
 
-FetchStats
-runFetch(const WorkloadSpec &spec, const FetchConfig &config,
-         uint64_t instructions, uint64_t seed)
-{
-    WorkloadModel model(spec, seed);
-    FetchEngine engine(config);
-    return engine.run(model, instructions);
-}
-
-FetchStats
-runFetchStreamed(const WorkloadSpec &spec, const FetchConfig &config,
-                 uint64_t instructions, uint64_t seed)
-{
-    WorkloadModel model(spec, seed);
-    RunStream stream(model, config.l1.lineBytes, instructions);
-    FetchEngine engine(config);
-    FetchRun run;
-    while (stream.next(run))
-        engine.fetchRun(run);
-    engine.noteStreamRuns(stream.runsEmitted());
-    if (obs::Registry::global().enabled()) {
-        obs::Registry::global().add("workload.model.runs_emitted",
-                                    stream.runsEmitted());
-        engine.publishCounters(obs::Registry::global());
-        // Scheduling-independent histogram sample (the registry's
-        // thread-count-invariance contract covers histograms too).
-        obs::Registry::global().observe("sim.cell.instructions",
-                                        engine.stats().instructions);
-    }
-    return engine.stats();
-}
-
 SuiteTraces::SuiteTraces(const std::vector<WorkloadSpec> &suite,
                          uint64_t instructions_per_workload)
-    : SuiteTraces(suite, instructions_per_workload, traceCacheDir(), 0)
-{
-}
-
-SuiteTraces::SuiteTraces(const std::vector<WorkloadSpec> &suite,
-                         uint64_t instructions_per_workload,
-                         const std::string &cache_dir, unsigned threads,
-                         bool log_cache_hits)
-    : requested_(instructions_per_workload),
-      // The on-disk cache persists flat traces, so pointing at a
-      // cache directory opts into the materialized pipeline (class
-      // comment); otherwise IBS_STREAM_GEN=0 is the only way back.
-      streaming_(cache_dir.empty() && streamingGeneration()),
-      cacheDir_(cache_dir), logCacheHits_(log_cache_hits),
-      specs_(suite)
+    : requested_(instructions_per_workload), specs_(suite)
 {
     names_.reserve(suite.size());
     for (const WorkloadSpec &spec : suite)
         names_.push_back(spec.name);
     traces_.resize(suite.size());
-    fromCache_.assign(suite.size(), 0);
     flatSlots_.reserve(suite.size());
     for (size_t i = 0; i < suite.size(); ++i)
         flatSlots_.push_back(std::make_unique<FlatSlot>());
-
-    if (streaming_)
-        return; // Generation is deferred to runTrace()/addresses().
-
-    if (threads == 0)
-        threads = sweepThreads();
-
-    // One workload per pool item: each writes only its own trace
-    // slot, so results are identical to the old serial loop for any
-    // worker count.
-    parallelFor(suite.size(), threads, [&](size_t i) {
-        std::call_once(flatSlots_[i]->once,
-                       [&] { materializeFlat(i); });
-    });
 }
 
 void
@@ -127,26 +64,13 @@ SuiteTraces::materializeFlat(size_t i) const
 {
     const WorkloadSpec &spec = specs_[i];
     obs::ScopedTimer timer("materialize " + spec.name, "workload");
-    const TraceCacheKey key{spec.name, spec.seed, requested_,
-                            kTraceModelVersion};
     std::vector<uint64_t> addrs;
-    if (!cacheDir_.empty() && loadCachedTrace(cacheDir_, key, addrs)) {
-        fromCache_[i] = 1;
-        if (logCacheHits_) {
-            obs::log(obs::LogLevel::Info,
-                     "trace cache hit for %s (%zu instructions)",
-                     spec.name.c_str(), addrs.size());
-        }
-    } else {
-        WorkloadModel model(spec);
-        addrs.reserve(requested_);
-        TraceRecord rec;
-        while (addrs.size() < requested_ && model.next(rec)) {
-            if (rec.isInstr())
-                addrs.push_back(rec.vaddr);
-        }
-        if (!cacheDir_.empty())
-            storeCachedTrace(cacheDir_, key, addrs);
+    WorkloadModel model(spec);
+    addrs.reserve(requested_);
+    TraceRecord rec;
+    while (addrs.size() < requested_ && model.next(rec)) {
+        if (rec.isInstr())
+            addrs.push_back(rec.vaddr);
     }
     if (addrs.size() < requested_) {
         // Every materialization of a short workload hits this;
@@ -168,29 +92,6 @@ SuiteTraces::addresses(size_t i) const
     return traces_[i];
 }
 
-size_t
-SuiteTraces::cacheHits() const
-{
-    size_t hits = 0;
-    for (uint8_t flag : fromCache_)
-        hits += flag;
-    return hits;
-}
-
-bool
-SuiteTraces::scalarFetchForced()
-{
-    const char *env = std::getenv("IBS_FETCH_SCALAR");
-    return env && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-}
-
-bool
-SuiteTraces::streamingGeneration()
-{
-    const char *env = std::getenv("IBS_STREAM_GEN");
-    return !(env && env[0] == '0' && env[1] == '\0');
-}
-
 const RunTrace &
 SuiteTraces::runTrace(size_t i, uint32_t line_bytes) const
 {
@@ -207,7 +108,7 @@ SuiteTraces::runTrace(size_t i, uint32_t line_bytes) const
     // the same key rendezvous on the entry's once_flag, callers for
     // other keys proceed independently.
     std::call_once(entry->once, [&] {
-        if (streaming_ && !flatBuilt(i)) {
+        if (!flatBuilt(i)) {
             // Generate runs straight from the workload model — the
             // flat 8-bytes-per-instruction vector never exists. Cuts
             // match compressRuns exactly (run_stream.h), so the memo
@@ -229,6 +130,8 @@ SuiteTraces::runTrace(size_t i, uint32_t line_bytes) const
                     static_cast<unsigned long long>(requested_));
             }
         } else {
+            // A caller already paid for the flat trace; encoding it
+            // is cheaper than regenerating.
             obs::ScopedTimer timer("compress " + names_[i] + " line" +
                                        std::to_string(line_bytes),
                                    "run_trace");
@@ -268,20 +171,15 @@ const MissStream &
 SuiteTraces::missStream(size_t i, const FetchConfig &config) const
 {
     // The capture depends only on the L1 side of the config (the
-    // perfect L2 never feeds back) and on which replay path fed the
-    // engine — IBS_FETCH_SCALAR changes the observability counters
-    // (batched_runs et al.), so it is part of the key.
-    // CacheConfig::toString omits the replacement policy, which does
-    // change the miss stream — spell the key out field by field.
-    const bool scalar = scalarFetchForced();
+    // perfect L2 never feeds back). CacheConfig::toString omits the
+    // replacement policy, which does change the miss stream — spell
+    // the key out field by field.
     std::string key = std::to_string(config.l1.sizeBytes) + "/" +
         std::to_string(config.l1.assoc) + "/" +
         std::to_string(config.l1.lineBytes) + "/" +
         replacementName(config.l1.replacement) + "|" +
         std::to_string(config.l1Fill.latencyCycles) + ":" +
         std::to_string(config.l1Fill.bytesPerCycle);
-    if (scalar)
-        key += "|scalar";
 
     MissEntry *entry;
     {
@@ -302,17 +200,10 @@ SuiteTraces::missStream(size_t i, const FetchConfig &config) const
         MissStream &ms = entry->stream;
         ms.trace.lineBytes = capture.l1.lineBytes;
         engine.setMissCapture(&ms.trace);
-        if (scalar) {
-            for (uint64_t addr : addresses(i))
-                engine.fetch(addr);
-        } else {
-            const RunTrace &runs =
-                runTrace(i, capture.l1.lineBytes);
-            for (const FetchRun &run : runs.runs)
-                engine.fetchRun(run);
-            ms.streamedReplay = streaming_;
-            ms.runsReplayed = runs.runs.size();
-        }
+        const RunTrace &runs = runTrace(i, capture.l1.lineBytes);
+        for (const FetchRun &run : runs.runs)
+            engine.fetchRun(run);
+        ms.runsReplayed = runs.runs.size();
         engine.setMissCapture(nullptr);
         ms.trace.runs.shrink_to_fit();
         ms.l1Stats = engine.stats();
@@ -344,31 +235,17 @@ FetchStats
 SuiteTraces::runOne(size_t i, const FetchConfig &config) const
 {
     FetchEngine engine(config);
-    bool streamed_replay = false;
-    uint64_t runs_replayed = 0;
-    if (scalarFetchForced()) {
-        // Needs the flat trace; in streaming mode this materializes
-        // it lazily (A/B escape hatches pay for what they use).
-        for (uint64_t addr : addresses(i))
-            engine.fetch(addr);
-    } else {
-        const RunTrace &runs = runTrace(i, config.l1.lineBytes);
-        for (const FetchRun &run : runs.runs)
-            engine.fetchRun(run);
-        streamed_replay = streaming_;
-        runs_replayed = runs.runs.size();
-    }
-    if (streamed_replay)
-        engine.noteStreamRuns(runs_replayed);
+    const RunTrace &runs = runTrace(i, config.l1.lineBytes);
+    for (const FetchRun &run : runs.runs)
+        engine.fetchRun(run);
+    engine.noteStreamRuns(runs.runs.size());
     if (obs::Registry::global().enabled()) {
         // Published per replay, not per run-trace build: the memo
         // makes builds happen once per (workload, lineBytes), which
         // would leave warm sweeps without the counter and break
         // thread-count invariance of the snapshot.
-        if (streamed_replay) {
-            obs::Registry::global().add("workload.model.runs_emitted",
-                                        runs_replayed);
-        }
+        obs::Registry::global().add("workload.model.runs_emitted",
+                                    runs.runs.size());
         engine.publishCounters(obs::Registry::global());
         // Scheduling-independent histogram sample: one observation
         // per replayed cell, so the merged histogram is bit-identical
@@ -383,7 +260,7 @@ FetchStats
 SuiteTraces::runSuite(const FetchConfig &config) const
 {
     FetchStats total;
-    for (size_t i = 0; i < traces_.size(); ++i)
+    for (size_t i = 0; i < count(); ++i)
         total.merge(runOne(i, config));
     return total;
 }

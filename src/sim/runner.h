@@ -2,7 +2,7 @@
  * @file
  * Experiment runners: glue between workloads, engines and benches.
  *
- * SuiteTraces materializes each workload's instruction stream once
+ * SuiteTraces generates each workload's instruction stream once
  * (the expensive part) and then replays it under many fetch
  * configurations — the pattern every parameter-sweep bench uses.
  * Suite-average statistics weight every workload equally, as the
@@ -27,7 +27,6 @@
 #include "trace/run_trace.h"
 #include "workload/ibs.h"
 #include "workload/model.h"
-#include "workload/run_stream.h"
 
 namespace ibs {
 
@@ -50,7 +49,6 @@ struct MissStream
     uint64_t batchedRuns = 0;    ///< fetchRun path counters; L1-only
     uint64_t batchFallbacks = 0; ///< decisions, so variant-invariant.
     uint64_t runsReplayed = 0;   ///< Runs fed to the capture engine.
-    bool streamedReplay = false; ///< Runs came from a streaming memo.
 
     /** Retained heap bytes (what serve/memo.h charges). */
     uint64_t
@@ -72,143 +70,62 @@ uint64_t parseEnvCount(const char *name, uint64_t fallback);
 uint64_t benchInstructions(uint64_t fallback = 1'500'000);
 
 /**
- * Generate one workload's stream and run it through a fetch
- * configuration.
- */
-FetchStats runFetch(const WorkloadSpec &spec, const FetchConfig &config,
-                    uint64_t instructions, uint64_t seed = 0);
-
-/**
- * As runFetch, but zero-materialization: FetchRuns stream from the
- * workload model straight into FetchEngine::fetchRun
- * (workload/run_stream.h) with no address vector and no stored
- * RunTrace — peak trace memory is O(1) regardless of length.
- * Simulated statistics are bit-identical to the materialized paths.
- * Instruction fetches only: data references are not replayed
- * (matching SuiteTraces replay semantics, not runFetch's
- * engine.run, which feeds dataTouch). Publishes the engine's
- * counters plus workload.model.runs_emitted when the obs registry
- * is enabled.
- */
-FetchStats runFetchStreamed(const WorkloadSpec &spec,
-                            const FetchConfig &config,
-                            uint64_t instructions, uint64_t seed = 0);
-
-/**
  * Instruction traces for a suite of workloads, held run-compressed.
  *
- * By default generation is *streaming* (workload/run_stream.h): the
- * run-length trace each sweep cell replays is generated straight
- * from the workload model, memoized per (workload, lineBytes), and
- * the flat address vector — 8 bytes per instruction, the dominant
- * memory cost and an extra encode pass — is never materialized.
- * Setting IBS_STREAM_GEN=0 restores the materialize-then-compress
- * pipeline (flat traces built eagerly at construction, one workload
- * per worker on the shared sim/parallel.h pool). Both modes yield
- * bit-identical run traces and simulated statistics.
+ * Generation is *streaming* (workload/run_stream.h): the run-length
+ * trace each sweep cell replays is generated straight from the
+ * workload model, memoized per (workload, lineBytes), and the flat
+ * address vector — 8 bytes per instruction, the dominant memory cost
+ * and an extra encode pass — is built only for callers that ask for
+ * it through addresses().
  *
- * The on-disk trace cache (trace/trace_cache.h, enabled by setting
- * IBS_TRACE_CACHE_DIR) stores *flat* traces, so passing a cache
- * directory opts the suite into the materialized pipeline: traces
- * already cached are decoded from their IBST files with checksum
- * validation and silent regeneration on any mismatch, and a cache
- * hit logs one line on stderr so warm runs are observable.
- *
- * Replay uses the run-length compressed fast path by default: runOne
- * drives FetchEngine::fetchRun over the workload's RunTrace
- * (trace/run_trace.h) instead of calling fetch() per instruction.
+ * Replay drives FetchEngine::fetchRun over the workload's RunTrace
+ * (trace/run_trace.h) rather than calling fetch() per instruction.
  * Because the encoding depends only on the L1 line size, the
- * compressed trace is memoized per (workload, lineBytes) and shared
- * read-only by every sweep cell with that line size. Simulated
- * statistics are bit-identical to the scalar path; setting
- * IBS_FETCH_SCALAR=1 forces the old per-instruction loop for A/B
- * comparison (in streaming mode the flat trace it needs is then
- * materialized lazily).
+ * compressed trace is shared read-only by every sweep cell with that
+ * line size. Simulated statistics are bit-identical to the
+ * per-instruction FetchEngine::fetch loop, which stays the oracle of
+ * tests/fetch_batch_diff_test.cc.
  *
  * Thread-safety: flat traces and run-trace memo entries are each
- * built exactly once behind a std::once_flag (lazily in streaming
- * mode, eagerly at construction otherwise) and are immutable
- * afterwards, so any number of threads may call the const members
- * (runOne, runSuite, addresses, runTrace, ...) concurrently on one
- * shared instance. sim/sweep.h relies on this to fan a config grid
- * out across workers.
+ * built exactly once behind a std::once_flag, lazily on first use,
+ * and are immutable afterwards, so any number of threads may call
+ * the const members (runOne, runSuite, addresses, runTrace, ...)
+ * concurrently on one shared instance. sim/sweep.h relies on this to
+ * fan a config grid out across workers.
  */
 class SuiteTraces
 {
   public:
     /**
-     * Materialize with the defaults every bench uses: cache directory
-     * from $IBS_TRACE_CACHE_DIR (none when unset) and the sweep
-     * executor's worker count.
-     *
      * @param suite workload specs (instruction streams only)
      * @param instructions_per_workload trace length for each
      */
     SuiteTraces(const std::vector<WorkloadSpec> &suite,
                 uint64_t instructions_per_workload);
 
-    /**
-     * Full-control constructor.
-     *
-     * @param cache_dir on-disk trace cache directory; "" disables
-     *        persistence
-     * @param threads materialization workers; 0 means sweepThreads()
-     * @param log_cache_hits emit the per-workload stderr line on a
-     *        cache hit (false for harnesses that rebuild suites in a
-     *        loop, e.g. the microbench)
-     */
-    SuiteTraces(const std::vector<WorkloadSpec> &suite,
-                uint64_t instructions_per_workload,
-                const std::string &cache_dir, unsigned threads,
-                bool log_cache_hits = true);
-
     size_t count() const { return specs_.size(); }
     const std::string &name(size_t i) const { return names_[i]; }
 
     /**
-     * Instruction addresses of workload `i`. In streaming mode the
-     * flat vector is not built at construction; the first caller
-     * pays the materialization (callers that only replay through
+     * Instruction addresses of workload `i`. The flat vector is not
+     * built at construction; the first caller pays the
+     * materialization (callers that only replay through
      * runOne/runTrace never do). The returned reference stays valid
      * for the lifetime of this SuiteTraces.
      */
     const std::vector<uint64_t> &addresses(size_t i) const;
 
-    /** Trace length requested at construction. */
-    uint64_t instructionsRequested() const { return requested_; }
-
-    /**
-     * Actual trace length of workload `i`. Shorter than
-     * instructionsRequested() only when the workload model drained
-     * early (warned once on stderr at generation time). In
-     * streaming mode this is the requested length until something
-     * forces generation — the workload models never end early, so
-     * the two agree in practice.
-     */
-    uint64_t length(size_t i) const
-    {
-        return flatBuilt(i) ? traces_[i].size() : requested_;
-    }
-
-    /** True when this suite generates run traces directly from the
-     *  workload model (no flat address vectors). */
-    bool streaming() const { return streaming_; }
-
     /**
      * Bytes of trace data currently retained: flat address vectors
      * actually built plus finished run-trace memo entries plus
      * captured miss streams (missStream). This is what a
-     * byte-budgeted store (serve/memo.h) charges for the suite; in
-     * streaming mode it is the compressed footprint alone, typically
-     * several times smaller than the flat traces.
+     * byte-budgeted store (serve/memo.h) charges for the suite;
+     * until a caller asks for addresses() it is the compressed
+     * footprint alone, typically several times smaller than the
+     * flat traces.
      */
     uint64_t retainedTraceBytes() const;
-
-    /** True when workload `i` was loaded from the on-disk cache. */
-    bool fromCache(size_t i) const { return fromCache_[i] != 0; }
-
-    /** Number of workloads served from the on-disk cache. */
-    size_t cacheHits() const;
 
     /**
      * Run-length encoding of workload `i` at `line_bytes` (lazy,
@@ -231,8 +148,6 @@ class SuiteTraces
      * L1 fill timing) with the same build-exactly-once discipline as
      * runTrace — warm server sweeps skip the L1 run entirely — and
      * charged by retainedTraceBytes() so serve/memo.h budgets it.
-     * The replay honours IBS_FETCH_SCALAR (keyed on it, so flipping
-     * the hatch cannot serve counters from the other path's run).
      * Only sim/collapse.h should need this. The returned reference
      * stays valid for the lifetime of this SuiteTraces.
      */
@@ -247,14 +162,6 @@ class SuiteTraces
 
     /** Run the whole suite and merge (equal-weight average). */
     FetchStats runSuite(const FetchConfig &config) const;
-
-    /** True when IBS_FETCH_SCALAR=1 forces the per-instruction replay
-     *  loop (read per call so tests can flip it at runtime). */
-    static bool scalarFetchForced();
-
-    /** True unless IBS_STREAM_GEN=0 disables streaming generation
-     *  (read at construction; the mode is fixed per instance). */
-    static bool streamingGeneration();
 
   private:
     /** Memo slot: call_once gives build-exactly-once semantics
@@ -275,7 +182,7 @@ class SuiteTraces
         MissStream stream;
     };
 
-    /** Lazy flat-trace slot (streaming mode builds on demand). */
+    /** Lazy flat-trace slot (built on the first addresses() call). */
     struct FlatSlot
     {
         std::once_flag once;
@@ -287,23 +194,16 @@ class SuiteTraces
         return flatSlots_[i]->built.load(std::memory_order_acquire);
     }
 
-    /** Generate or cache-load the flat trace of workload `i`
-     *  (call_once body; writes traces_[i] / fromCache_[i]). */
+    /** Generate the flat trace of workload `i` (call_once body;
+     *  writes traces_[i]). */
     void materializeFlat(size_t i) const;
 
     uint64_t requested_ = 0;
-    bool streaming_ = false;
-    std::string cacheDir_;
-    bool logCacheHits_ = true;
     std::vector<WorkloadSpec> specs_;
     std::vector<std::string> names_;
-    // Lazily filled in streaming mode; mutable with per-slot
-    // once_flags so const accessors can materialize on first use.
+    // Filled lazily; mutable with per-slot once_flags so const
+    // accessors can materialize on first use.
     mutable std::vector<std::vector<uint64_t>> traces_;
-    // Per-workload flags; uint8_t, not vector<bool>, so parallel
-    // workers can write distinct elements without racing on shared
-    // bit-packed words.
-    mutable std::vector<uint8_t> fromCache_;
     mutable std::vector<std::unique_ptr<FlatSlot>> flatSlots_;
 
     // (workload, lineBytes) -> lazily built run trace. unique_ptr

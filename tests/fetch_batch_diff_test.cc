@@ -18,7 +18,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -266,25 +265,32 @@ TEST(FetchBatchDiff, StampClockAdvancement)
 }
 
 /**
- * SuiteTraces::runOne must take the batched path by default and the
- * scalar path under IBS_FETCH_SCALAR=1, with identical results; the
- * run-trace memo must build one entry per (workload, lineBytes).
+ * SuiteTraces::runOne (batched replay of the streamed run trace) must
+ * equal the scalar per-instruction loop over the same suite's flat
+ * trace, for every config class; the run-trace memo must build one
+ * entry per (workload, lineBytes).
  */
-TEST(FetchBatchDiff, SuiteTracesEnvEscapeHatch)
+TEST(FetchBatchDiff, SuiteTracesMatchScalarOracle)
 {
     SuiteTraces suite({makeIbs(IbsBenchmark::Gs, OsType::Mach),
                        makeIbs(IbsBenchmark::Nroff, OsType::Mach)},
                       30000);
-    ASSERT_FALSE(SuiteTraces::scalarFetchForced());
 
+    // Every runOne replays before any flat trace exists, so each memo
+    // entry comes from the streaming generator, not compressRuns.
+    std::vector<FetchStats> batched;
+    for (const auto &[name, config] : configClasses()) {
+        for (size_t w = 0; w < suite.count(); ++w)
+            batched.push_back(suite.runOne(w, config));
+    }
+
+    size_t cell = 0;
     for (const auto &[name, config] : configClasses()) {
         for (size_t w = 0; w < suite.count(); ++w) {
-            const FetchStats batched = suite.runOne(w, config);
-            ASSERT_EQ(setenv("IBS_FETCH_SCALAR", "1", 1), 0);
-            EXPECT_TRUE(SuiteTraces::scalarFetchForced());
-            const FetchStats scalar = suite.runOne(w, config);
-            ASSERT_EQ(unsetenv("IBS_FETCH_SCALAR"), 0);
-            expectEqualStats(batched, scalar,
+            FetchEngine scalar(config);
+            for (uint64_t addr : suite.addresses(w))
+                scalar.fetch(addr);
+            expectEqualStats(batched[cell++], scalar.stats(),
                              name + "/" + suite.name(w));
         }
     }

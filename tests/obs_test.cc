@@ -124,7 +124,7 @@ TEST(ObsRegistry, SweepCountersAreThreadCountInvariant)
 
     SuiteTraces suite({makeSpec(SpecBenchmark::Espresso),
                        makeSpec(SpecBenchmark::Gcc)},
-                      5000, "", 1, false);
+                      5000);
     const std::vector<FetchConfig> configs = {
         economyBaseline(),
         withOnChipL2(economyBaseline(), 64 * 1024, 64, 2)};
@@ -217,7 +217,7 @@ TEST(ObsRegistry, SweepHistogramsAreThreadCountInvariant)
 
     SuiteTraces suite({makeSpec(SpecBenchmark::Espresso),
                        makeSpec(SpecBenchmark::Gcc)},
-                      5000, "", 1, false);
+                      5000);
     const std::vector<FetchConfig> configs = {
         economyBaseline(),
         withOnChipL2(economyBaseline(), 64 * 1024, 64, 2)};

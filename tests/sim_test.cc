@@ -13,9 +13,9 @@ namespace {
 
 TEST(Runner, RunFetchProducesStats)
 {
-    const WorkloadSpec spec = makeSpec(SpecBenchmark::Espresso);
-    const FetchStats s =
-        runFetch(spec, economyBaseline(), 50000);
+    WorkloadModel model(makeSpec(SpecBenchmark::Espresso));
+    FetchEngine engine(economyBaseline());
+    const FetchStats s = engine.run(model, 50000);
     EXPECT_EQ(s.instructions, 50000u);
     EXPECT_GT(s.l1Misses, 0u);
     EXPECT_GT(s.cpiInstr(), 0.0);

@@ -285,18 +285,22 @@ TEST(Collapse, CatalogClassesMatchPerCellExactly)
     expectCollapseParity(suite, grid, "catalog");
 }
 
-TEST(Collapse, ScalarFetchPathMatchesPerCellExactly)
+TEST(Collapse, FlatTraceSuiteMatchesPerCellExactly)
 {
-    // IBS_FETCH_SCALAR changes how the capture run is driven (the
-    // miss-stream memo keys on it); parity must hold there too.
+    // Once a caller has built the flat traces, the suite encodes its
+    // run traces with compressRuns instead of the streaming
+    // generator, so the capture run is fed from the other encoder;
+    // parity must hold there too.
     SuiteTraces suite(specSuite(), 5000);
+    for (size_t w = 0; w < suite.count(); ++w)
+        ASSERT_EQ(suite.addresses(w).size(), 5000u);
     std::vector<FetchConfig> grid;
     for (uint32_t assoc : {1u, 4u})
         grid.push_back(
             withOnChipL2(economyBaseline(), 32 * 1024, 64, assoc));
-    setenv("IBS_FETCH_SCALAR", "1", 1);
-    expectCollapseParity(suite, grid, "scalar");
-    unsetenv("IBS_FETCH_SCALAR");
+    expectCollapseParity(suite, grid, "flat");
+    // Both configs share one L1 front end: one capture per workload.
+    EXPECT_EQ(suite.missStreamsBuilt(), suite.count());
 }
 
 TEST(Collapse, TimingFlagsAndMissStreamMemo)

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <stdexcept>
@@ -109,7 +111,12 @@ class TraceFileTest : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "/ibs_trace_test.ibst";
+        // gtest-discovered cases run as parallel processes under
+        // ctest -j, so each case needs its own file.
+        const ::testing::TestInfo *info =
+            ::testing::UnitTest::GetInstance()->current_test_info();
+        path_ = ::testing::TempDir() + "ibs_trace_test_" +
+            info->name() + "_" + std::to_string(::getpid()) + ".ibst";
     }
 
     void TearDown() override { std::remove(path_.c_str()); }

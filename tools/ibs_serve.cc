@@ -12,7 +12,7 @@
  *
  * Knobs: IBS_SERVE_PORT, IBS_SERVE_MAX_INFLIGHT,
  * IBS_SERVE_MEMO_BYTES, IBS_SERVE_MAX_INSTR, plus the usual
- * IBS_THREADS / IBS_OBS / IBS_OBS_TRACE / IBS_TRACE_CACHE_DIR.
+ * IBS_THREADS / IBS_OBS / IBS_OBS_TRACE.
  */
 
 #include <chrono>
