@@ -13,11 +13,15 @@
  */
 
 #include <iostream>
+#include <iterator>
 #include <vector>
 
 #include "cache/three_c.h"
+#include "obs/timer.h"
 #include "sim/bench_report.h"
+#include "sim/parallel.h"
 #include "sim/runner.h"
+#include "sim/sweep.h"
 #include "stats/table.h"
 #include "workload/ibs.h"
 
@@ -29,18 +33,41 @@ void
 emitSuite(const std::string &title, const SuiteTraces &traces,
           BenchReport &report, const std::string &grid)
 {
+    static constexpr uint64_t kSizesKb[] = {8, 16, 32, 64, 128, 256};
+    constexpr size_t kSizes = std::size(kSizesKb);
+    const size_t workloads = traces.count();
+    const unsigned threads = sweepThreads();
+
+    // Generate every workload's 32-B run trace first, one task per
+    // workload, so the classifier cells below never wait on a build.
+    parallelFor(workloads, threads,
+                [&](size_t i) { traces.runTrace(i, 32); });
+
+    // One cell per (size, workload), each writing only its own slot.
+    std::vector<ThreeCBreakdown> cells(kSizes * workloads);
+    std::vector<double> seconds(kSizes * workloads);
+    parallelFor(cells.size(), threads, [&](size_t cell) {
+        const uint64_t kb = kSizesKb[cell / workloads];
+        const size_t i = cell % workloads;
+        obs::ScopedTimer timer("three_c " + std::to_string(kb) + "KB " +
+                               traces.name(i));
+        ThreeCClassifier classifier(kb * 1024, 32, 1, 8);
+        for (const FetchRun &run : traces.runTrace(i, 32).runs)
+            classifier.accessRun(run.startVaddr, run.count);
+        cells[cell] = classifier.breakdown();
+        timer.stop();
+        seconds[cell] = timer.seconds();
+    });
+
     TextTable table(title);
     table.setHeader({"I-cache size", "capacity MPI*100",
                      "conflict MPI*100", "compulsory MPI*100",
                      "total MPI*100"});
-    for (uint64_t kb : {8u, 16u, 32u, 64u, 128u, 256u}) {
+    for (size_t s = 0; s < kSizes; ++s) {
+        const uint64_t kb = kSizesKb[s];
         double cap = 0, conf = 0, comp = 0;
-        for (size_t i = 0; i < traces.count(); ++i) {
-            WallTimer cell_timer;
-            ThreeCClassifier classifier(kb * 1024, 32, 1, 8);
-            for (uint64_t addr : traces.addresses(i))
-                classifier.access(addr);
-            const ThreeCBreakdown b = classifier.breakdown();
+        for (size_t i = 0; i < workloads; ++i) {
+            const ThreeCBreakdown &b = cells[s * workloads + i];
             const Json config = Json::object()
                 .set("size_bytes", Json::number(kb * 1024))
                 .set("line_bytes", Json::number(uint64_t{32}))
@@ -59,13 +86,13 @@ emitSuite(const std::string &title, const SuiteTraces &traces,
                      Json::number(b.conflictMpi100()))
                 .set("total_mpi100", Json::number(b.totalMpi100()));
             report.addCell(traces.name(i), config, stats,
-                           cell_timer.seconds(), b.accesses, grid,
+                           seconds[s * workloads + i], b.accesses, grid,
                            std::to_string(kb) + "KB");
             cap += b.capacityMpi100();
             conf += b.conflictMpi100();
             comp += b.compulsoryMpi100();
         }
-        const auto c = static_cast<double>(traces.count());
+        const auto c = static_cast<double>(workloads);
         table.addRow({std::to_string(kb) + "KB",
                       TextTable::num(cap / c, 2),
                       TextTable::num(conf / c, 2),

@@ -30,12 +30,12 @@ void
 sweep(const std::string &name, const WorkloadSpec &spec, uint64_t n,
       BenchReport &report)
 {
-    TextTable table("Figure 5: std dev of CPIinstr — " + name);
-    table.setHeader({"I-cache size", "1-way", "2-way", "4-way"});
-    for (uint64_t kb : {4u, 8u, 16u, 32u, 64u, 128u, 256u, 512u,
-                        1024u}) {
-        std::vector<std::string> row = {std::to_string(kb) + "KB"};
-        for (uint32_t assoc : {1u, 2u, 4u}) {
+    static constexpr uint64_t kSizesKb[] = {4,   8,   16,  32,  64,
+                                            128, 256, 512, 1024};
+    static constexpr uint32_t kAssocs[] = {1, 2, 4};
+    std::vector<TapewormConfig> configs;
+    for (uint64_t kb : kSizesKb) {
+        for (uint32_t assoc : kAssocs) {
             TapewormConfig config;
             config.cache =
                 CacheConfig{kb * 1024, assoc, 32, Replacement::LRU};
@@ -43,8 +43,25 @@ sweep(const std::string &name, const WorkloadSpec &spec, uint64_t n,
             config.trials = 5;
             config.instructions = n;
             config.policy = PagePolicy::Random;
-            WallTimer cell_timer;
-            const TapewormResult r = runTapeworm(spec, config);
+            configs.push_back(config);
+        }
+    }
+    WallTimer grid_timer;
+    const std::vector<TapewormResult> results =
+        runTapewormGrid(spec, configs);
+    // The grid shares generation and translation across its points;
+    // each cell is charged an equal share of the grid's wall time.
+    const double cell_seconds =
+        grid_timer.seconds() / static_cast<double>(configs.size());
+
+    TextTable table("Figure 5: std dev of CPIinstr — " + name);
+    table.setHeader({"I-cache size", "1-way", "2-way", "4-way"});
+    size_t c = 0;
+    for (uint64_t kb : kSizesKb) {
+        std::vector<std::string> row = {std::to_string(kb) + "KB"};
+        for (uint32_t assoc : kAssocs) {
+            const TapewormConfig &config = configs[c];
+            const TapewormResult &r = results[c++];
             row.push_back(TextTable::num(r.cpiInstr.stddev(), 4));
 
             const Json config_json = Json::object()
@@ -61,8 +78,7 @@ sweep(const std::string &name, const WorkloadSpec &spec, uint64_t n,
                 .set("mpi100_mean", Json::number(r.mpi100.mean()))
                 .set("mpi100_stddev",
                      Json::number(r.mpi100.stddev()));
-            report.addCell(spec.name, config_json, stats,
-                           cell_timer.seconds(),
+            report.addCell(spec.name, config_json, stats, cell_seconds,
                            n * config.trials, "tapeworm",
                            std::to_string(kb) + "KB_" +
                                std::to_string(assoc) + "way");

@@ -11,7 +11,10 @@
  *    the paper evaluates (blocking baseline, on-chip L2, prefetch +
  *    bypass, pipelined L2 + stream buffer);
  *  - trace generation: the flat-trace random walk, the run-length
- *    encoding, and fused streaming generate+replay.
+ *    encoding, and fused streaming generate+replay;
+ *  - the layers of the per-record drivers: address translation
+ *    (MemoryMap), TLB lookups, and 3C classification per access vs
+ *    per run.
  *
  * The trace length honours IBS_BENCH_INSTR (default 1M), so the
  * perf_smoke ctest can run the whole harness in well under a second.
@@ -30,6 +33,7 @@
 
 #include "cache/cache.h"
 #include "cache/subblock.h"
+#include "cache/three_c.h"
 #include "cache/victim.h"
 #include "core/fetch_engine.h"
 #include "obs/registry.h"
@@ -39,6 +43,8 @@
 #include "sim/runner.h"
 #include "trace/file.h"
 #include "trace/run_trace.h"
+#include "tlb/tlb.h"
+#include "vm/address_space.h"
 #include "workload/ibs.h"
 #include "workload/model.h"
 #include "workload/run_stream.h"
@@ -69,14 +75,22 @@ trace()
     return t;
 }
 
+/** Report the loop's per-iteration work as items/sec plus a named
+ *  rate counter. */
+void
+setRate(benchmark::State &state, const char *counter)
+{
+    state.SetItemsProcessed(state.iterations());
+    state.counters[counter] = benchmark::Counter(
+        static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+}
+
 /** Report the loop's per-iteration work as fetches/sec. */
 void
 setFetchRate(benchmark::State &state)
 {
-    state.SetItemsProcessed(state.iterations());
-    state.counters["fetches_per_second"] = benchmark::Counter(
-        static_cast<double>(state.iterations()),
-        benchmark::Counter::kIsRate);
+    setRate(state, "fetches_per_second");
 }
 
 void
@@ -377,6 +391,100 @@ BENCHMARK(BM_RunCompression)
     ->ArgNames({"line"})
     ->Arg(32)
     ->Arg(64);
+
+/** The shared workload's I+D reference stream, ASIDs included (what
+ *  address translation and the TLB see), for traceLength()
+ *  instructions. */
+const std::vector<TraceRecord> &
+referenceTrace()
+{
+    static const std::vector<TraceRecord> t = [] {
+        WorkloadSpec spec = makeIbs(IbsBenchmark::Gs, OsType::Mach);
+        spec.data.enabled = true;
+        WorkloadModel model(spec);
+        std::vector<TraceRecord> recs;
+        TraceRecord rec;
+        uint64_t instrs = 0;
+        while (instrs < traceLength() && model.next(rec)) {
+            instrs += rec.isInstr();
+            recs.push_back(rec);
+        }
+        return recs;
+    }();
+    return t;
+}
+
+/** MemoryMap::translate under random page placement: the per-run
+ *  translation of a Tapeworm trial. The map keeps its pages across
+ *  passes, so after the first pass every call is a page-table hit,
+ *  as nearly all of a trial's are. */
+void
+BM_Translate(benchmark::State &state)
+{
+    MemoryMap map(makeAllocator(PagePolicy::Random, 16384, 8, 1));
+    const auto &recs = referenceTrace();
+    size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            map.translate(recs[i].asid, recs[i].vaddr));
+        i = i + 1 == recs.size() ? 0 : i + 1;
+    }
+    setRate(state, "translations_per_second");
+}
+BENCHMARK(BM_Translate);
+
+/** Tlb::access over the I+D stream: 4-way vs fully associative
+ *  (ways == entries), the two shapes of the ablation_tlb grid. */
+void
+BM_TlbAccess(benchmark::State &state)
+{
+    Tlb tlb(TlbConfig{static_cast<uint32_t>(state.range(0)),
+                      static_cast<uint32_t>(state.range(1)),
+                      Replacement::LRU, true});
+    const auto &recs = referenceTrace();
+    size_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(tlb.access(recs[i].asid, recs[i].vaddr));
+        i = i + 1 == recs.size() ? 0 : i + 1;
+    }
+    setRate(state, "accesses_per_second");
+}
+BENCHMARK(BM_TlbAccess)
+    ->ArgNames({"entries", "ways"})
+    ->Args({64, 4})
+    ->Args({64, 64});
+
+/**
+ * Figure 1's 3C classification (8-KB direct-mapped vs its 8-way
+ * proxy) over the whole shared trace per iteration: one
+ * ThreeCClassifier::access per instruction (run:0) or one accessRun
+ * per 32-B run (run:1, what fig1_three_cs does). Identical work per
+ * iteration, so fetches_per_second is directly comparable.
+ */
+void
+BM_ThreeC(benchmark::State &state)
+{
+    const bool per_run = state.range(0) != 0;
+    const auto &addrs = trace();
+    const RunTrace &runs = baselineRuns();
+    for (auto _ : state) {
+        ThreeCClassifier classifier(8 * 1024, 32, 1, 8);
+        if (per_run) {
+            for (const FetchRun &run : runs.runs)
+                classifier.accessRun(run.startVaddr, run.count);
+        } else {
+            for (uint64_t a : addrs)
+                classifier.access(a);
+        }
+        benchmark::DoNotOptimize(classifier.breakdown().conflict);
+    }
+    const auto fetches =
+        static_cast<uint64_t>(state.iterations()) * addrs.size();
+    state.SetItemsProcessed(static_cast<int64_t>(fetches));
+    state.counters["fetches_per_second"] = benchmark::Counter(
+        static_cast<double>(fetches), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_ThreeC)->ArgNames({"run"})->Arg(0)->Arg(1);
 
 /**
  * Cost of the observability layer around a full-trace engine run:

@@ -89,6 +89,11 @@ if [ "$bench_name" = "microbench" ]; then
     "$validator" --compare-rate-warn "$report" \
         "BM_BatchedVsScalar/batched:1" "BM_BatchedVsScalar/batched:0" \
         1.5
+    # Warn-only, same reasoning: classifying a run with one probe per
+    # cache (ThreeCClassifier::accessRun) should beat one access per
+    # instruction by >=1.5x.
+    "$validator" --compare-rate-warn "$report" \
+        "BM_ThreeC/run:1" "BM_ThreeC/run:0" 1.5
 fi
 
 # Warn-only: the collapsed sweep executor should beat the per-cell

@@ -7,25 +7,32 @@
 #   2. a trace file that appears and validates as Perfetto
 #      traceEvents JSON (validator --trace mode),
 #   3. a BENCH_*.json that validates in both runs, with a "counters"
-#      object present only in the obs-on report.
+#      object present only in the obs-on report,
+#   4. at least one complete span named each <span-name> given, in
+#      that trace.
 #
 # Usage: check_obs_trace.sh <bench-binary> <validate_bench_json-binary>
+#            [span-name...]
 #
 # Wired in as the "obs_trace_check" ctest (tests/CMakeLists.txt); also
 # runnable by hand from a build tree:
 #
 #   scripts/check_obs_trace.sh build/bench/table5_baselines \
 #       build/tools/validate_bench_json
+#   scripts/check_obs_trace.sh build/bench/fig5_variability \
+#       build/tools/validate_bench_json tapeworm.generate \
+#       tapeworm.translate tapeworm.replay
 
 set -eu
 
-if [ "$#" -ne 2 ]; then
-    echo "usage: $0 <bench-binary> <validator-binary>" >&2
+if [ "$#" -lt 2 ]; then
+    echo "usage: $0 <bench-binary> <validator-binary> [span-name...]" >&2
     exit 2
 fi
 
 bench="$1"
 validator="$2"
+shift 2
 bench_name=$(basename "$bench")
 
 workdir=$(mktemp -d "${TMPDIR:-/tmp}/ibs_obs_trace.XXXXXX")
@@ -60,7 +67,11 @@ if [ ! -f "$workdir/obs_trace.json" ]; then
     echo "FAIL: IBS_OBS_TRACE did not produce $workdir/obs_trace.json" >&2
     exit 1
 fi
-"$validator" --trace "$workdir/obs_trace.json"
+if [ "$#" -gt 0 ]; then
+    "$validator" --trace-spans "$workdir/obs_trace.json" "$@"
+else
+    "$validator" --trace "$workdir/obs_trace.json"
+fi
 
 "$validator" "$report"
 if ! grep -q '"counters"' "$report"; then

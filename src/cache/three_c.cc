@@ -32,14 +32,38 @@ ThreeCClassifier::ThreeCClassifier(uint64_t size_bytes,
 }
 
 void
+ThreeCClassifier::notePossibleFirstTouch(uint64_t addr)
+{
+    if (touched_.insert(measured_.config().lineAddr(addr)).second)
+        ++compulsory_;
+}
+
+void
 ThreeCClassifier::access(uint64_t addr)
 {
     ++accesses_;
-    const uint64_t line = measured_.config().lineAddr(addr);
-    if (touched_.insert(line).second)
-        ++compulsory_;
     measured_.access(addr);
-    proxy_.access(addr);
+    if (!proxy_.access(addr))
+        notePossibleFirstTouch(addr);
+}
+
+void
+ThreeCClassifier::accessRun(uint64_t addr, uint64_t count)
+{
+    if (count == 0)
+        return;
+    accesses_ += count;
+    if (!measured_.accessRun(addr, count)) {
+        measured_.access(addr);
+        if (count > 1)
+            measured_.accessRun(addr, count - 1);
+    }
+    if (!proxy_.accessRun(addr, count)) {
+        proxy_.access(addr);
+        notePossibleFirstTouch(addr);
+        if (count > 1)
+            proxy_.accessRun(addr, count - 1);
+    }
 }
 
 ThreeCBreakdown

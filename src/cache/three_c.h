@@ -69,6 +69,14 @@ class ThreeCClassifier
     /** Classify one reference. */
     void access(uint64_t addr);
 
+    /**
+     * Classify `count` references to the line containing `addr`, as
+     * `count` access() calls would, with one tag probe per cache
+     * when the run hits (Cache::accessRun). Only the first reference
+     * of a run can miss; it then allocates the line the rest hit.
+     */
+    void accessRun(uint64_t addr, uint64_t count);
+
     /** Breakdown so far. */
     ThreeCBreakdown breakdown() const;
 
@@ -79,6 +87,12 @@ class ThreeCClassifier
     uint64_t proxyMisses() const { return proxy_.misses(); }
 
   private:
+    /** Count a first touch of `addr`'s line, if it is one. Called
+     *  on proxy misses only: the proxy starts empty and allocates
+     *  every line it is asked for, so every first touch misses it,
+     *  and hits never need the touched-line set. */
+    void notePossibleFirstTouch(uint64_t addr);
+
     Cache measured_;
     Cache proxy_;
     std::unordered_set<uint64_t> touched_;

@@ -11,6 +11,22 @@
  * virtual-to-physical mapping drawn from the configured OS page-
  * allocation policy. Kernel (kseg0) code keeps its fixed direct
  * mapping across trials, exactly as on the real machine.
+ *
+ * runTapewormGrid replays many experiment points at once. It
+ * generates each trace length once, run-encoded per ASID
+ * (trace/run_trace.h AsidRunEncoder); a run never crosses a line,
+ * and lines are no larger than a page, so a run never crosses a page
+ * and one MemoryMap translation serves the whole run. Points that
+ * share (trace length, policy, frames, colors) see the *same*
+ * physical mapping in a given trial — the allocator's same-color
+ * collision probe steps by `colors`, so the color count is part of
+ * the key — and form one group: per (group, trial) item, one map
+ * translates every run once and each cache of the group replays the
+ * physical runs with one tag probe per run. Items run on the shared
+ * pool (sim/parallel.h); per-trial miss counts are folded into the
+ * RunningStats serially in trial order, so results are bit-identical
+ * to the per-instruction translate-and-probe loop at any thread
+ * count.
  */
 
 #ifndef IBS_SIM_TAPEWORM_H
@@ -55,6 +71,19 @@ struct TapewormResult
 TapewormResult runTapeworm(const WorkloadSpec &spec,
                            const TapewormConfig &config,
                            uint64_t base_seed = 0x7a9e);
+
+/**
+ * Run many experiment points over one workload (see the file
+ * comment). Point i's result equals runTapeworm(spec, configs[i],
+ * base_seed); each point keeps its own trial count and trace length.
+ *
+ * @throws std::invalid_argument if a line is larger than a page
+ * @return one result per config, in order
+ */
+std::vector<TapewormResult>
+runTapewormGrid(const WorkloadSpec &spec,
+                const std::vector<TapewormConfig> &configs,
+                uint64_t base_seed = 0x7a9e);
 
 } // namespace ibs
 

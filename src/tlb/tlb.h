@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "cache/config.h"
-#include "obs/registry.h"
 #include "trace/record.h"
 #include "vm/page.h"
 
@@ -75,21 +74,6 @@ class Tlb
     }
 
     void resetStats();
-
-    /**
-     * Publish access/hit/miss counts to the observability registry
-     * under "tlb.<instance>.<event>". Caller gates on
-     * Registry::enabled().
-     */
-    void
-    publishCounters(obs::Registry &registry,
-                    const std::string &instance) const
-    {
-        const std::string prefix = "tlb." + instance + ".";
-        registry.add(prefix + "accesses", accesses_);
-        registry.add(prefix + "hits", hits_);
-        registry.add(prefix + "misses", misses());
-    }
 
   private:
     struct Entry

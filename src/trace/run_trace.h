@@ -23,6 +23,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "trace/record.h"
+
 namespace ibs {
 
 /** Instruction width of the modelled ISA (MIPS, DESIGN §2). */
@@ -82,6 +84,57 @@ struct RunTrace
  */
 RunTrace compressRuns(const std::vector<uint64_t> &addrs,
                       uint32_t line_bytes);
+
+/**
+ * One line-bounded sequential run tagged with the address space that
+ * fetched it. Physically-indexed replay (sim/tapeworm.h) needs the
+ * ASID to translate; with lines no larger than a page, a run never
+ * crosses a page, so one translation serves the whole run.
+ */
+struct AsidRun
+{
+    uint64_t startVaddr = 0;
+    uint32_t count = 0;
+    Asid asid = KERNEL_ASID;
+};
+
+/** A whole ASID-tagged instruction trace as line-bounded runs. */
+struct AsidRunTrace
+{
+    uint32_t lineBytes = 0;    ///< Line size the runs were cut for.
+    uint64_t instructions = 0; ///< Sum of all run counts.
+    std::vector<AsidRun> runs;
+};
+
+/**
+ * Incremental encoder of AsidRunTraces: compressRuns' cut rule (a
+ * non-+4 step or a line-boundary crossing starts a new run) plus a
+ * cut on every ASID change, so each run is fetched by one address
+ * space. Concatenating the runs reproduces the appended
+ * (asid, address) sequence exactly.
+ */
+class AsidRunEncoder
+{
+  public:
+    /**
+     * @param line_bytes line size to cut at; must be a power of two
+     *        >= 4
+     * @throws std::invalid_argument on an invalid line size
+     */
+    explicit AsidRunEncoder(uint32_t line_bytes);
+
+    /** Append `count` instructions at start, start+4, ... fetched
+     *  by `asid`. */
+    void append(Asid asid, uint64_t start, uint64_t count);
+
+    /** Close the pending run and hand over the encoded trace. */
+    AsidRunTrace finish();
+
+  private:
+    AsidRunTrace trace_;
+    uint64_t lineMask_; ///< ~(lineBytes - 1).
+    AsidRun pending_;   ///< Run being extended; count 0 when none.
+};
 
 } // namespace ibs
 

@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
+#include "cache/cache.h"
 #include "sim/runner.h"
 #include "sim/tapeworm.h"
+#include "trace/run_trace.h"
+#include "vm/address_space.h"
 
 namespace ibs {
 namespace {
@@ -147,6 +152,160 @@ TEST(Tapeworm, FullyAssociativeCacheImmuneToPlacement)
     const TapewormResult r = runTapeworm(
         makeIbs(IbsBenchmark::Gs, OsType::Mach), config);
     EXPECT_NEAR(r.cpiInstr.stddev(), 0.0, 1e-9);
+}
+
+/**
+ * The per-instruction Tapeworm loop the grid driver replaced, kept as
+ * its oracle: every trial translates and probes each instruction
+ * fetch on its own.
+ */
+TapewormResult
+perInstructionTapeworm(const WorkloadSpec &spec,
+                       const TapewormConfig &config, uint64_t base_seed)
+{
+    std::vector<TraceRecord> trace;
+    WorkloadModel model(spec);
+    TraceRecord rec;
+    while (trace.size() < config.instructions && model.next(rec)) {
+        if (rec.isInstr())
+            trace.push_back(rec);
+    }
+    TapewormResult result;
+    for (uint32_t trial = 0; trial < config.trials; ++trial) {
+        MemoryMap map(makeAllocator(config.policy, config.frames,
+                                    config.cache.colors(),
+                                    base_seed + trial));
+        Cache cache(config.cache);
+        uint64_t misses = 0;
+        for (const TraceRecord &r : trace) {
+            if (!cache.access(map.translate(r.asid, r.vaddr)))
+                ++misses;
+        }
+        const double n = static_cast<double>(trace.size());
+        const double mpi = n > 0 ? static_cast<double>(misses) / n : 0;
+        result.mpi100.add(mpi * 100.0);
+        result.cpiInstr.add(mpi * config.missPenalty);
+    }
+    return result;
+}
+
+/** Sizes x 1/2/4-way x all three page policies, mixed line sizes and
+ *  trial counts, so groups share colors across sizes and ways. */
+std::vector<TapewormConfig>
+mixedGrid()
+{
+    std::vector<TapewormConfig> grid;
+    for (PagePolicy policy : {PagePolicy::Random, PagePolicy::BinHopping,
+                              PagePolicy::PageColoring}) {
+        for (uint64_t kb : {4u, 8u, 16u, 64u}) {
+            for (uint32_t assoc : {1u, 2u, 4u}) {
+                TapewormConfig config;
+                config.cache = CacheConfig{kb * 1024, assoc,
+                                           kb == 16 ? 64u : 32u,
+                                           Replacement::LRU};
+                config.policy = policy;
+                config.trials = assoc == 2 ? 2 : 3;
+                config.instructions = 20000;
+                grid.push_back(config);
+            }
+        }
+    }
+    return grid;
+}
+
+void
+expectGridMatchesOracle(const WorkloadSpec &spec)
+{
+    const std::vector<TapewormConfig> grid = mixedGrid();
+    const std::vector<TapewormResult> results =
+        runTapewormGrid(spec, grid, 0x51);
+    ASSERT_EQ(results.size(), grid.size());
+    for (size_t c = 0; c < grid.size(); ++c) {
+        SCOPED_TRACE(grid[c].cache.toString() + " " +
+                     policyName(grid[c].policy));
+        const TapewormResult want =
+            perInstructionTapeworm(spec, grid[c], 0x51);
+        ASSERT_EQ(results[c].cpiInstr.count(), grid[c].trials);
+        // Exact: the same doubles, folded in the same order.
+        EXPECT_EQ(results[c].cpiInstr.mean(), want.cpiInstr.mean());
+        EXPECT_EQ(results[c].cpiInstr.stddev(), want.cpiInstr.stddev());
+        EXPECT_EQ(results[c].mpi100.mean(), want.mpi100.mean());
+        EXPECT_EQ(results[c].mpi100.stddev(), want.mpi100.stddev());
+    }
+}
+
+TEST(TapewormGrid, MatchesPerInstructionLoopAtOneAndFourThreads)
+{
+    const WorkloadSpec spec = makeIbs(IbsBenchmark::Verilog,
+                                      OsType::Mach);
+    for (const char *threads : {"1", "4"}) {
+        SCOPED_TRACE(std::string("IBS_THREADS=") + threads);
+        setenv("IBS_THREADS", threads, 1);
+        expectGridMatchesOracle(spec);
+    }
+    unsetenv("IBS_THREADS");
+}
+
+TEST(TapewormGrid, MatchesPerInstructionLoopWithDataReferences)
+{
+    // Data references force record-at-a-time generation.
+    WorkloadSpec spec = makeIbs(IbsBenchmark::Gs, OsType::Mach);
+    spec.data.enabled = true;
+    expectGridMatchesOracle(spec);
+}
+
+TEST(TapewormGrid, RejectsLinesLargerThanAPage)
+{
+    TapewormConfig config;
+    config.cache = CacheConfig{64 * 1024, 1, 8192, Replacement::LRU};
+    EXPECT_THROW(runTapewormGrid(makeSpec(SpecBenchmark::Espresso),
+                                 {config}),
+                 std::invalid_argument);
+}
+
+TEST(AsidRunEncoder, AsidSwitchCutsContiguousRunInOneLine)
+{
+    // 0x1000..0x100c are +4-contiguous inside one 32-B line, but the
+    // address space changes after 0x1004: two runs, not one.
+    AsidRunEncoder encoder(32);
+    encoder.append(1, 0x1000, 1);
+    encoder.append(1, 0x1004, 1);
+    encoder.append(2, 0x1008, 1);
+    encoder.append(2, 0x100c, 1);
+    const AsidRunTrace trace = encoder.finish();
+    ASSERT_EQ(trace.runs.size(), 2u);
+    EXPECT_EQ(trace.instructions, 4u);
+    EXPECT_EQ(trace.runs[0].startVaddr, 0x1000u);
+    EXPECT_EQ(trace.runs[0].count, 2u);
+    EXPECT_EQ(trace.runs[0].asid, 1);
+    EXPECT_EQ(trace.runs[1].startVaddr, 0x1008u);
+    EXPECT_EQ(trace.runs[1].count, 2u);
+    EXPECT_EQ(trace.runs[1].asid, 2);
+}
+
+TEST(AsidRunEncoder, MatchesCompressRunsWithinOneAddressSpace)
+{
+    // Blocks spanning lines, jumps and a block continuing the
+    // previous one: the cut rule must equal compressRuns'.
+    const std::vector<std::pair<uint64_t, uint64_t>> blocks = {
+        {0x1000, 3}, {0x100c, 9}, {0x2000, 1}, {0x2ff8, 4},
+        {0x3004, 20}, {0x3054, 1}};
+    AsidRunEncoder encoder(32);
+    std::vector<uint64_t> flat;
+    for (const auto &[start, count] : blocks) {
+        encoder.append(7, start, count);
+        for (uint64_t k = 0; k < count; ++k)
+            flat.push_back(start + 4 * k);
+    }
+    const AsidRunTrace got = encoder.finish();
+    const RunTrace want = compressRuns(flat, 32);
+    EXPECT_EQ(got.instructions, want.instructions);
+    ASSERT_EQ(got.runs.size(), want.runs.size());
+    for (size_t r = 0; r < want.runs.size(); ++r) {
+        EXPECT_EQ(got.runs[r].startVaddr, want.runs[r].startVaddr);
+        EXPECT_EQ(got.runs[r].count, want.runs[r].count);
+        EXPECT_EQ(got.runs[r].asid, 7);
+    }
 }
 
 } // namespace

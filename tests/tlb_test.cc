@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/tlb_fanout.h"
 #include "tlb/tlb.h"
+#include "workload/ibs.h"
+#include "workload/model.h"
 
 namespace ibs {
 namespace {
@@ -119,6 +122,77 @@ TEST(Tlb, R2000ReachIs256KB)
         EXPECT_TRUE(tlb.contains(1, p * PAGE_SIZE));
     tlb.access(1, 64 * PAGE_SIZE);
     EXPECT_FALSE(tlb.contains(1, 0));
+}
+
+TEST(TlbFanout, EqualsFreshTlbPerConfig)
+{
+    // The ablation_tlb grid plus odd shapes, over a Mach workload's
+    // I+D stream (several address spaces, kseg0 kernel references).
+    std::vector<TlbConfig> configs;
+    for (uint32_t entries : {16u, 32u, 64u, 128u, 256u}) {
+        configs.push_back(cfg(entries, 4));
+        configs.push_back(cfg(entries, entries));
+    }
+    configs.push_back(cfg(8, 1));
+    configs.push_back(cfg(64, 2));
+    configs.push_back(cfg(64, 4)); // Duplicate: independent counts.
+
+    WorkloadSpec spec = makeIbs(IbsBenchmark::Gs, OsType::Mach);
+    spec.data.enabled = true;
+    WorkloadModel model(spec);
+    TlbFanout fanout(configs);
+    std::vector<Tlb> tlbs;
+    for (const TlbConfig &config : configs)
+        tlbs.emplace_back(config);
+    TraceRecord rec;
+    for (int i = 0; i < 200000 && model.next(rec); ++i) {
+        fanout.access(rec.asid, rec.vaddr);
+        for (Tlb &tlb : tlbs)
+            tlb.access(rec.asid, rec.vaddr);
+    }
+    const std::vector<StackCounts> counts = fanout.counts();
+    ASSERT_EQ(counts.size(), configs.size());
+    for (size_t c = 0; c < configs.size(); ++c) {
+        SCOPED_TRACE(configs[c].toString());
+        EXPECT_GT(tlbs[c].misses(), 0u);
+        EXPECT_EQ(counts[c].hits, tlbs[c].hits());
+        EXPECT_EQ(counts[c].misses, tlbs[c].misses());
+    }
+}
+
+TEST(TlbFanout, AddressSpacesAndKseg0AsInTlb)
+{
+    // One virtual page in two address spaces is two entries; kseg0
+    // references are not counted at all.
+    const std::vector<TlbConfig> configs = {cfg(16, 4), cfg(16, 16)};
+    TlbFanout fanout(configs);
+    std::vector<Tlb> tlbs(configs.begin(), configs.end());
+    for (int round = 0; round < 3; ++round) {
+        for (Asid asid : {Asid{1}, Asid{2}}) {
+            fanout.access(asid, 0x00400000);
+            fanout.access(asid, 0x80031000);
+            for (Tlb &tlb : tlbs) {
+                tlb.access(asid, 0x00400000);
+                tlb.access(asid, 0x80031000);
+            }
+        }
+    }
+    const std::vector<StackCounts> counts = fanout.counts();
+    for (size_t c = 0; c < configs.size(); ++c) {
+        EXPECT_EQ(counts[c].misses, 2u);
+        EXPECT_EQ(counts[c].hits, 4u);
+        EXPECT_EQ(counts[c].misses, tlbs[c].misses());
+        EXPECT_EQ(counts[c].hits, tlbs[c].hits());
+    }
+}
+
+TEST(TlbFanout, RejectsNonLruOrNonBypassingGeometries)
+{
+    EXPECT_THROW(TlbFanout({cfg(64, 4, Replacement::FIFO)}),
+                 std::invalid_argument);
+    EXPECT_THROW(TlbFanout({cfg(64, 64, Replacement::LRU, false)}),
+                 std::invalid_argument);
+    EXPECT_THROW(TlbFanout({cfg(64, 5)}), std::invalid_argument);
 }
 
 } // namespace

@@ -36,6 +36,11 @@
  *     id touches >= <min_tids> distinct tids (the request really
  *     crossed threads).
  *
+ *   --trace-spans <trace.json> <name...>
+ *     Everything --trace checks, plus at least one complete ("X")
+ *     event with each given name: the phases a bench promises to
+ *     emit under IBS_OBS_TRACE are really there.
+ *
  *   --prom <file...>
  *     Validate Prometheus text exposition documents as served by
  *     the sweep server's `metrics` request (obs::validatePromText):
@@ -75,6 +80,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "obs/prom.h"
 #include "stats/report.h"
@@ -281,6 +287,37 @@ validateTraceFile(const std::string &path)
     return true;
 }
 
+/** --trace plus one complete event per required span name. */
+bool
+validateTraceSpans(const std::string &path,
+                   const std::vector<std::string> &names)
+{
+    if (!validateTraceFile(path))
+        return false;
+    Json doc;
+    if (!loadJson(path, doc))
+        return false;
+    const Json &events = *doc.find("traceEvents");
+    std::map<std::string, size_t> seen;
+    for (const std::string &name : names)
+        seen[name] = 0;
+    for (size_t i = 0; i < events.size(); ++i) {
+        const Json &event = events.at(i);
+        if (event.at("ph").asString() != "X")
+            continue;
+        auto it = seen.find(event.at("name").asString());
+        if (it != seen.end())
+            ++it->second;
+    }
+    for (const auto &[name, count] : seen) {
+        if (count == 0)
+            return fail(path, "no complete span named \"" + name + "\"");
+        std::printf("%s: %zu \"%s\" spans\n", path.c_str(), count,
+                    name.c_str());
+    }
+    return true;
+}
+
 /** --trace plus the request-tracing shape: balanced async spans,
  *  balanced flows, and at least one flow crossing min_tids tids. */
 bool
@@ -447,12 +484,14 @@ usage(const char *argv0)
                  "       %s --trace <trace.json> [more.json...]\n"
                  "       %s --trace-flow <min_tids> <trace.json> "
                  "[more.json...]\n"
+                 "       %s --trace-spans <trace.json> <name> "
+                 "[more names...]\n"
                  "       %s --prom <metrics.txt> [more.txt...]\n"
                  "       %s --compare-rate <report.json> <prefix_a> "
                  "<prefix_b> <min_ratio>\n"
                  "       %s --compare-rate-warn <report.json> "
                  "<prefix_a> <prefix_b> <min_ratio>\n",
-                 argv0, argv0, argv0, argv0, argv0, argv0);
+                 argv0, argv0, argv0, argv0, argv0, argv0, argv0);
     return 2;
 }
 
@@ -484,6 +523,15 @@ main(int argc, char **argv)
         for (int i = 3; i < argc; ++i)
             ok = validateTraceFlow(argv[i], min_tids) && ok;
         return ok ? 0 : 1;
+    }
+
+    if (std::strcmp(argv[1], "--trace-spans") == 0) {
+        if (argc < 4)
+            return usage(argv[0]);
+        return validateTraceSpans(argv[2], std::vector<std::string>(
+                                               argv + 3, argv + argc))
+            ? 0
+            : 1;
     }
 
     if (std::strcmp(argv[1], "--prom") == 0) {
