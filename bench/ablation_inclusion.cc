@@ -12,6 +12,7 @@
 #include <iostream>
 
 #include "cache/hierarchy.h"
+#include "obs/timer.h"
 #include "sim/bench_report.h"
 #include "sim/runner.h"
 #include "stats/table.h"
@@ -36,7 +37,10 @@ main()
         uint64_t n_total = 0;
         uint64_t l1_ni = 0, l1_in = 0, backs = 0, l2m = 0;
         for (size_t i = 0; i < suite.count(); ++i) {
-            WallTimer cell_timer;
+            obs::ScopedTimer cell_timer("inclusion " +
+                                        std::to_string(assoc) + "way " +
+                                        suite.name(i));
+            const RunTrace &runs = suite.runTrace(i, 32);
             CacheHierarchy ni(
                 CacheConfig{8 * 1024, 1, 32, Replacement::LRU},
                 CacheConfig{64 * 1024, assoc, 64, Replacement::LRU},
@@ -45,11 +49,16 @@ main()
                 CacheConfig{8 * 1024, 1, 32, Replacement::LRU},
                 CacheConfig{64 * 1024, assoc, 64, Replacement::LRU},
                 true);
-            for (uint64_t a : suite.addresses(i)) {
-                ni.access(a);
-                incl.access(a);
+            for (const FetchRun &run : runs.runs) {
+                for (uint32_t k = 0; k < run.count; ++k) {
+                    const uint64_t a =
+                        run.startVaddr + uint64_t{k} * kInstrBytes;
+                    ni.access(a);
+                    incl.access(a);
+                }
             }
-            const uint64_t instrs = suite.addresses(i).size();
+            cell_timer.stop();
+            const uint64_t instrs = runs.instructions;
             const Json config = Json::object()
                 .set("l1", toJson(CacheConfig{8 * 1024, 1, 32,
                                               Replacement::LRU}))

@@ -19,6 +19,7 @@
 #include "cache/subblock.h"
 #include "core/fetch_config.h"
 #include "obs/registry.h"
+#include "obs/timer.h"
 #include "sim/bench_report.h"
 #include "sim/runner.h"
 #include "sim/sweep.h"
@@ -31,21 +32,24 @@ using namespace ibs;
 
 /** CPIinstr of the sub-block design over one trace. */
 double
-subBlockCpi(const std::vector<uint64_t> &addrs)
+subBlockCpi(const RunTrace &runs)
 {
     SubBlockCache cache(CacheConfig{8 * 1024, 1, 64,
                                     Replacement::LRU}, 16);
     const MemoryTiming fill{6, 16};
     uint64_t stall = 0;
-    for (uint64_t addr : addrs) {
-        const SubBlockResult r = cache.access(addr);
-        if (!r.hit)
-            stall += fill.fillCycles(uint64_t{r.filled} * 16);
+    for (const FetchRun &run : runs.runs) {
+        for (uint32_t k = 0; k < run.count; ++k) {
+            const SubBlockResult r = cache.access(
+                run.startVaddr + uint64_t{k} * kInstrBytes);
+            if (!r.hit)
+                stall += fill.fillCycles(uint64_t{r.filled} * 16);
+        }
     }
     if (obs::Registry::global().enabled())
         cache.publishCounters(obs::Registry::global(), "l1");
     return static_cast<double>(stall) /
-        static_cast<double>(addrs.size());
+        static_cast<double>(runs.instructions);
 }
 
 } // namespace
@@ -87,9 +91,12 @@ main()
 
     double sub = 0;
     for (size_t i = 0; i < suite.count(); ++i) {
-        WallTimer cell_timer;
-        const double cpi = subBlockCpi(suite.addresses(i));
-        const uint64_t instrs = suite.addresses(i).size();
+        obs::ScopedTimer cell_timer("sub_block 16B " + suite.name(i));
+        // The 64-B run trace is the one runSweep built for plain64.
+        const RunTrace &runs = suite.runTrace(i, 64);
+        const double cpi = subBlockCpi(runs);
+        cell_timer.stop();
+        const uint64_t instrs = runs.instructions;
         const Json config = Json::object()
             .set("l1", toJson(CacheConfig{8 * 1024, 1, 64,
                                           Replacement::LRU}))

@@ -20,6 +20,7 @@
 #include "cache/cache.h"
 #include "cache/victim.h"
 #include "obs/registry.h"
+#include "obs/timer.h"
 #include "sim/bench_report.h"
 #include "sim/runner.h"
 #include "stats/table.h"
@@ -44,14 +45,22 @@ main()
         const std::string label =
             std::to_string(assoc) + "way";
         for (size_t i = 0; i < suite.count(); ++i) {
-            WallTimer cell_timer;
+            obs::ScopedTimer cell_timer("plain " + label + " " +
+                                        suite.name(i));
+            const RunTrace &runs = suite.runTrace(i, 32);
             Cache cache(cfg);
-            uint64_t w_misses = 0;
-            const uint64_t w_instrs = suite.addresses(i).size();
-            for (uint64_t a : suite.addresses(i)) {
-                if (!cache.access(a))
-                    ++w_misses;
+            // One probe per run: a miss allocates on its first
+            // instruction and the rest of the run hits that line.
+            for (const FetchRun &run : runs.runs) {
+                if (cache.accessRun(run.startVaddr, run.count))
+                    continue;
+                cache.access(run.startVaddr);
+                if (run.count > 1)
+                    cache.accessRun(run.startVaddr, run.count - 1);
             }
+            cell_timer.stop();
+            const uint64_t w_misses = cache.misses();
+            const uint64_t w_instrs = runs.instructions;
             const Json stats = Json::object()
                 .set("instructions", Json::number(w_instrs))
                 .set("l1_misses", Json::number(w_misses))
@@ -74,17 +83,23 @@ main()
         uint64_t misses = 0, swaps = 0, instrs = 0;
         const CacheConfig cfg{8 * 1024, 1, 32, Replacement::LRU};
         for (size_t i = 0; i < suite.count(); ++i) {
-            WallTimer cell_timer;
+            obs::ScopedTimer cell_timer("victim " + std::to_string(v) +
+                                        "line " + suite.name(i));
+            const RunTrace &runs = suite.runTrace(i, 32);
             VictimCache cache(cfg, v);
             uint64_t w_misses = 0, w_swaps = 0;
-            const uint64_t w_instrs = suite.addresses(i).size();
-            for (uint64_t a : suite.addresses(i)) {
-                const int r = cache.access(a);
-                if (r == 2)
-                    ++w_misses;
-                else if (r == 1)
-                    ++w_swaps;
+            for (const FetchRun &run : runs.runs) {
+                for (uint32_t k = 0; k < run.count; ++k) {
+                    const int r = cache.access(
+                        run.startVaddr + uint64_t{k} * kInstrBytes);
+                    if (r == 2)
+                        ++w_misses;
+                    else if (r == 1)
+                        ++w_swaps;
+                }
             }
+            cell_timer.stop();
+            const uint64_t w_instrs = runs.instructions;
             const Json config = Json::object()
                 .set("l1", toJson(cfg))
                 .set("victim_lines", Json::number(uint64_t{v}));

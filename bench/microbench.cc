@@ -107,6 +107,29 @@ BM_WorkloadGeneration(benchmark::State &state)
 }
 BENCHMARK(BM_WorkloadGeneration);
 
+/** I+D generation: WorkloadModel::next over a data-enabled spec, the
+ *  per-record loop the DECstation tables and ablation_tlb pay. Items
+ *  are records; instructions_per_second compares with the
+ *  instruction-only cell above. */
+void
+BM_WorkloadGenerationData(benchmark::State &state)
+{
+    WorkloadSpec spec = makeIbs(IbsBenchmark::Gs, OsType::Mach);
+    spec.data.enabled = true;
+    WorkloadModel model(spec);
+    TraceRecord rec;
+    uint64_t instructions = 0;
+    for (auto _ : state) {
+        model.next(rec);
+        instructions += rec.isInstr();
+        benchmark::DoNotOptimize(rec.vaddr);
+    }
+    state.SetItemsProcessed(state.iterations());
+    state.counters["instructions_per_second"] = benchmark::Counter(
+        static_cast<double>(instructions), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_WorkloadGenerationData);
+
 /** Raw tag-lookup throughput; ways:1 is the direct-mapped fast
  *  path, higher way counts exercise the set-associative probe. */
 void
@@ -558,34 +581,6 @@ BENCHMARK(BM_ObsOverhead)
     ->Arg(3)
     ->Arg(4)
     ->MinTime(0.25);
-
-/** Instructions materialized per workload by BM_TraceMaterializeCold;
- *  scaled down from the replay-trace length so one iteration stays
- *  cheap enough to repeat. */
-uint64_t
-materializeLength()
-{
-    const uint64_t n = traceLength() / 10;
-    return n ? n : 1;
-}
-
-/** Flat-trace materialization: the workload random walk that
- *  SuiteTraces::addresses pays on first use. */
-void
-BM_TraceMaterializeCold(benchmark::State &state)
-{
-    const std::vector<WorkloadSpec> suite = {
-        makeIbs(IbsBenchmark::Gs, OsType::Mach)};
-    const uint64_t n = materializeLength();
-    for (auto _ : state) {
-        SuiteTraces traces(suite, n);
-        // Construction defers generation; the flat-trace request is
-        // what forces the walk this cell measures.
-        benchmark::DoNotOptimize(traces.addresses(0).size());
-    }
-    state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_TraceMaterializeCold);
 
 void
 BM_TraceFileWrite(benchmark::State &state)

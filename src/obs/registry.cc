@@ -62,7 +62,8 @@ HistogramSnapshot::quantile(double q) const
     double acc = 0.0;
     // Only an occupied bucket can satisfy the quantile: with q = 0
     // the target is 0 and "acc >= target" would hold at an empty
-    // leading bucket otherwise (LinearHistogram::percentile rule).
+    // leading bucket otherwise, so quantile(0) is the upper edge of
+    // the lowest occupied bucket, not of bucket 0.
     for (size_t k = 0; k < counts.size(); ++k) {
         acc += static_cast<double>(counts[k]);
         if (counts[k] > 0 && acc >= target)

@@ -14,11 +14,8 @@ TraceMemo::TraceMemo(uint64_t byte_budget) : budget_(byte_budget) {}
 uint64_t
 TraceMemo::suiteBytes(const SuiteTraces &suite)
 {
-    // Everything the suite actually retains: flat vectors that were
-    // built plus finished run-trace memo entries. Earlier versions
-    // charged flat traces only, so the run memos a streaming suite
-    // accumulates — its *entire* footprint — were invisible to the
-    // LRU budget.
+    // Everything the suite actually retains: finished run-trace memo
+    // entries and miss streams, its entire footprint.
     return suite.retainedTraceBytes() + suite.count() * 256;
 }
 

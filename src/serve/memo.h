@@ -84,9 +84,9 @@ class TraceMemo
      */
     void refresh(const std::string &key, const SuiteTraces &suite);
 
-    /** Approximate retained bytes of one suite: flat traces built
-     *  plus finished run-trace memos and collapse miss streams
-     *  (SuiteTraces::retainedTraceBytes) and fixed per-workload
+    /** Approximate retained bytes of one suite: finished run-trace
+     *  memos and collapse miss streams
+     *  (SuiteTraces::retainedTraceBytes) plus fixed per-workload
      *  overhead. */
     static uint64_t suiteBytes(const SuiteTraces &suite);
 

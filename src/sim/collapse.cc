@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <tuple>
@@ -59,7 +58,7 @@ deriveStats(const MissStream &ms, const FetchConfig &variant,
  * the capture run's L1/engine counters, the replayed L2 counters,
  * zeros for the stream buffer (FetchEngine publishes those
  * unconditionally), and the per-cell histogram sample. Keeps obs
- * snapshots bit-identical between IBS_SWEEP_COLLAPSE=1 and =0.
+ * snapshots bit-identical to a runOne loop over the same cells.
  */
 void
 publishCollapsedCell(const MissStream &ms, const FetchStats &stats,
@@ -95,13 +94,6 @@ publishCollapsedCell(const MissStream &ms, const FetchStats &stats,
 }
 
 } // namespace
-
-bool
-sweepCollapseEnabled()
-{
-    const char *env = std::getenv("IBS_SWEEP_COLLAPSE");
-    return !(env && env[0] == '0' && env[1] == '\0');
-}
 
 bool
 collapseEligible(const FetchConfig &config)

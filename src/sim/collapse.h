@@ -40,11 +40,10 @@
  * pipelined/stream-buffer, unified L2) and singleton groups keep the
  * existing per-cell path.
  *
- * Collapsing is on by default; IBS_SWEEP_COLLAPSE=0 (read per call)
- * forces full per-cell simulation, which bench/sweep_collapse uses
- * as its A/B baseline. Results are bit-identical either way —
- * enforced by the sweep_collapse_* tests and the fig3/fig4/table5
- * stdout-diff ctest.
+ * runSweep and the sweep server always collapse. Results are
+ * bit-identical to calling SuiteTraces::runOne on every cell — the
+ * per-cell path ineligible configs still take, and the reference the
+ * sweep_collapse_test suite and bench/sweep_collapse compare against.
  */
 
 #ifndef IBS_SIM_COLLAPSE_H
@@ -59,10 +58,6 @@
 #include "sim/runner.h"
 
 namespace ibs {
-
-/** True unless IBS_SWEEP_COLLAPSE=0 disables collapsing (read per
- *  call so tests can flip it at runtime). */
-bool sweepCollapseEnabled();
 
 /**
  * Structural eligibility: the config's L1 behaviour is provably
@@ -110,8 +105,7 @@ struct CollapsePlan
 /**
  * Group `configs` by collapse key. Deterministic: group members are
  * in ascending grid order, groups are ordered by leader index, and
- * `singles` is ascending. Ignores the IBS_SWEEP_COLLAPSE hatch —
- * callers gate on sweepCollapseEnabled().
+ * `singles` is ascending.
  */
 CollapsePlan planCollapse(const std::vector<FetchConfig> &configs);
 

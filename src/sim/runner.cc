@@ -53,43 +53,6 @@ SuiteTraces::SuiteTraces(const std::vector<WorkloadSpec> &suite,
     names_.reserve(suite.size());
     for (const WorkloadSpec &spec : suite)
         names_.push_back(spec.name);
-    traces_.resize(suite.size());
-    flatSlots_.reserve(suite.size());
-    for (size_t i = 0; i < suite.size(); ++i)
-        flatSlots_.push_back(std::make_unique<FlatSlot>());
-}
-
-void
-SuiteTraces::materializeFlat(size_t i) const
-{
-    const WorkloadSpec &spec = specs_[i];
-    obs::ScopedTimer timer("materialize " + spec.name, "workload");
-    std::vector<uint64_t> addrs;
-    WorkloadModel model(spec);
-    addrs.reserve(requested_);
-    TraceRecord rec;
-    while (addrs.size() < requested_ && model.next(rec)) {
-        if (rec.isInstr())
-            addrs.push_back(rec.vaddr);
-    }
-    if (addrs.size() < requested_) {
-        // Every materialization of a short workload hits this;
-        // one warning per workload is enough.
-        obs::logOnce(obs::LogLevel::Warn, "short-trace:" + spec.name,
-                     "workload %s drained after %zu of %llu "
-                     "instructions; its trace is short",
-                     spec.name.c_str(), addrs.size(),
-                     static_cast<unsigned long long>(requested_));
-    }
-    traces_[i] = std::move(addrs);
-    flatSlots_[i]->built.store(true, std::memory_order_release);
-}
-
-const std::vector<uint64_t> &
-SuiteTraces::addresses(size_t i) const
-{
-    std::call_once(flatSlots_[i]->once, [&] { materializeFlat(i); });
-    return traces_[i];
 }
 
 const RunTrace &
@@ -104,38 +67,24 @@ SuiteTraces::runTrace(size_t i, uint32_t line_bytes) const
             slot = std::make_unique<RunEntry>();
         entry = slot.get();
     }
-    // Compression runs outside the map lock; concurrent callers for
+    // Generation runs outside the map lock; concurrent callers for
     // the same key rendezvous on the entry's once_flag, callers for
     // other keys proceed independently.
     std::call_once(entry->once, [&] {
-        if (!flatBuilt(i)) {
-            // Generate runs straight from the workload model — the
-            // flat 8-bytes-per-instruction vector never exists. Cuts
-            // match compressRuns exactly (run_stream.h), so the memo
-            // entry is bit-identical either way.
-            obs::ScopedTimer timer("stream " + names_[i] + " line" +
-                                       std::to_string(line_bytes),
-                                   "run_trace");
-            WorkloadModel model(specs_[i]);
-            entry->trace =
-                generateRunTrace(model, line_bytes, requested_);
-            if (entry->trace.instructions < requested_) {
-                obs::logOnce(
-                    obs::LogLevel::Warn, "short-trace:" + names_[i],
-                    "workload %s drained after %llu of %llu "
-                    "instructions; its trace is short",
-                    names_[i].c_str(),
-                    static_cast<unsigned long long>(
-                        entry->trace.instructions),
-                    static_cast<unsigned long long>(requested_));
-            }
-        } else {
-            // A caller already paid for the flat trace; encoding it
-            // is cheaper than regenerating.
-            obs::ScopedTimer timer("compress " + names_[i] + " line" +
-                                       std::to_string(line_bytes),
-                                   "run_trace");
-            entry->trace = compressRuns(addresses(i), line_bytes);
+        obs::ScopedTimer timer("stream " + names_[i] + " line" +
+                                   std::to_string(line_bytes),
+                               "run_trace");
+        WorkloadModel model(specs_[i]);
+        entry->trace = generateRunTrace(model, line_bytes, requested_);
+        if (entry->trace.instructions < requested_) {
+            obs::logOnce(
+                obs::LogLevel::Warn, "short-trace:" + names_[i],
+                "workload %s drained after %llu of %llu "
+                "instructions; its trace is short",
+                names_[i].c_str(),
+                static_cast<unsigned long long>(
+                    entry->trace.instructions),
+                static_cast<unsigned long long>(requested_));
         }
         entry->built.store(true, std::memory_order_release);
     });
@@ -146,10 +95,6 @@ uint64_t
 SuiteTraces::retainedTraceBytes() const
 {
     uint64_t bytes = 0;
-    for (size_t i = 0; i < traces_.size(); ++i) {
-        if (flatBuilt(i))
-            bytes += traces_[i].size() * sizeof(uint64_t);
-    }
     {
         std::lock_guard<std::mutex> lock(runTraceMutex_);
         for (const auto &kv : runTraces_) {

@@ -72,12 +72,11 @@ uint64_t benchInstructions(uint64_t fallback = 1'500'000);
 /**
  * Instruction traces for a suite of workloads, held run-compressed.
  *
- * Generation is *streaming* (workload/run_stream.h): the run-length
- * trace each sweep cell replays is generated straight from the
- * workload model, memoized per (workload, lineBytes), and the flat
- * address vector — 8 bytes per instruction, the dominant memory cost
- * and an extra encode pass — is built only for callers that ask for
- * it through addresses().
+ * The run trace is the suite's one trace form. Each one is generated
+ * straight from the workload model (workload/run_stream.h) and
+ * memoized per (workload, lineBytes); the flat 8-byte-per-instruction
+ * address vector never exists. Callers that need every address
+ * expand a run as startVaddr + 4k for k < count.
  *
  * Replay drives FetchEngine::fetchRun over the workload's RunTrace
  * (trace/run_trace.h) rather than calling fetch() per instruction.
@@ -87,12 +86,12 @@ uint64_t benchInstructions(uint64_t fallback = 1'500'000);
  * per-instruction FetchEngine::fetch loop, which stays the oracle of
  * tests/fetch_batch_diff_test.cc.
  *
- * Thread-safety: flat traces and run-trace memo entries are each
+ * Thread-safety: run-trace and miss-stream memo entries are each
  * built exactly once behind a std::once_flag, lazily on first use,
  * and are immutable afterwards, so any number of threads may call
- * the const members (runOne, runSuite, addresses, runTrace, ...)
- * concurrently on one shared instance. sim/sweep.h relies on this to
- * fan a config grid out across workers.
+ * the const members (runOne, runSuite, runTrace, ...) concurrently
+ * on one shared instance. sim/sweep.h relies on this to fan a config
+ * grid out across workers.
  */
 class SuiteTraces
 {
@@ -108,22 +107,10 @@ class SuiteTraces
     const std::string &name(size_t i) const { return names_[i]; }
 
     /**
-     * Instruction addresses of workload `i`. The flat vector is not
-     * built at construction; the first caller pays the
-     * materialization (callers that only replay through
-     * runOne/runTrace never do). The returned reference stays valid
-     * for the lifetime of this SuiteTraces.
-     */
-    const std::vector<uint64_t> &addresses(size_t i) const;
-
-    /**
-     * Bytes of trace data currently retained: flat address vectors
-     * actually built plus finished run-trace memo entries plus
-     * captured miss streams (missStream). This is what a
-     * byte-budgeted store (serve/memo.h) charges for the suite;
-     * until a caller asks for addresses() it is the compressed
-     * footprint alone, typically several times smaller than the
-     * flat traces.
+     * Bytes of trace data currently retained: finished run-trace
+     * memo entries plus captured miss streams (missStream). This is
+     * what a byte-budgeted store (serve/memo.h) charges for the
+     * suite.
      */
     uint64_t retainedTraceBytes() const;
 
@@ -182,29 +169,9 @@ class SuiteTraces
         MissStream stream;
     };
 
-    /** Lazy flat-trace slot (built on the first addresses() call). */
-    struct FlatSlot
-    {
-        std::once_flag once;
-        std::atomic<bool> built{false};
-    };
-
-    bool flatBuilt(size_t i) const
-    {
-        return flatSlots_[i]->built.load(std::memory_order_acquire);
-    }
-
-    /** Generate the flat trace of workload `i` (call_once body;
-     *  writes traces_[i]). */
-    void materializeFlat(size_t i) const;
-
     uint64_t requested_ = 0;
     std::vector<WorkloadSpec> specs_;
     std::vector<std::string> names_;
-    // Filled lazily; mutable with per-slot once_flags so const
-    // accessors can materialize on first use.
-    mutable std::vector<std::vector<uint64_t>> traces_;
-    mutable std::vector<std::unique_ptr<FlatSlot>> flatSlots_;
 
     // (workload, lineBytes) -> lazily built run trace. unique_ptr
     // keeps entry addresses stable across map rebalancing, so the

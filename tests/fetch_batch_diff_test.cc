@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/fetch_engine.h"
+#include "materialize.h"
 #include "sim/runner.h"
 #include "stats/rng.h"
 #include "trace/run_trace.h"
@@ -118,21 +119,6 @@ randomTrace(uint64_t seed, size_t n)
     return addrs;
 }
 
-/** Instruction-only materialization of a workload model. */
-std::vector<uint64_t>
-workloadTrace(size_t n)
-{
-    WorkloadModel model(makeIbs(IbsBenchmark::Gs, OsType::Mach));
-    std::vector<uint64_t> addrs;
-    addrs.reserve(n);
-    TraceRecord rec;
-    while (addrs.size() < n && model.next(rec)) {
-        if (rec.isInstr())
-            addrs.push_back(rec.vaddr);
-    }
-    return addrs;
-}
-
 /** Replay `addrs` batched (fetchRun over compressed runs) and
  *  scalar (per-instruction fetch) and compare FetchStats. */
 void
@@ -165,7 +151,8 @@ TEST(FetchBatchDiff, RandomizedTracesAllConfigClasses)
 
 TEST(FetchBatchDiff, WorkloadModelTraceAllConfigClasses)
 {
-    diffTrace(workloadTrace(60000), "workload_gs");
+    diffTrace(materialize(makeIbs(IbsBenchmark::Gs, OsType::Mach), 60000),
+              "workload_gs");
 }
 
 /**
@@ -266,31 +253,28 @@ TEST(FetchBatchDiff, StampClockAdvancement)
 
 /**
  * SuiteTraces::runOne (batched replay of the streamed run trace) must
- * equal the scalar per-instruction loop over the same suite's flat
- * trace, for every config class; the run-trace memo must build one
- * entry per (workload, lineBytes).
+ * equal the scalar per-instruction loop over the workload's flat
+ * instruction stream, for every config class; the run-trace memo
+ * must build one entry per (workload, lineBytes).
  */
 TEST(FetchBatchDiff, SuiteTracesMatchScalarOracle)
 {
-    SuiteTraces suite({makeIbs(IbsBenchmark::Gs, OsType::Mach),
-                       makeIbs(IbsBenchmark::Nroff, OsType::Mach)},
-                      30000);
+    const std::vector<WorkloadSpec> specs = {
+        makeIbs(IbsBenchmark::Gs, OsType::Mach),
+        makeIbs(IbsBenchmark::Nroff, OsType::Mach)};
+    constexpr uint64_t kInstr = 30000;
+    SuiteTraces suite(specs, kInstr);
 
-    // Every runOne replays before any flat trace exists, so each memo
-    // entry comes from the streaming generator, not compressRuns.
-    std::vector<FetchStats> batched;
-    for (const auto &[name, config] : configClasses()) {
-        for (size_t w = 0; w < suite.count(); ++w)
-            batched.push_back(suite.runOne(w, config));
-    }
+    std::vector<std::vector<uint64_t>> flat;
+    for (const WorkloadSpec &spec : specs)
+        flat.push_back(materialize(spec, kInstr));
 
-    size_t cell = 0;
     for (const auto &[name, config] : configClasses()) {
         for (size_t w = 0; w < suite.count(); ++w) {
             FetchEngine scalar(config);
-            for (uint64_t addr : suite.addresses(w))
+            for (uint64_t addr : flat[w])
                 scalar.fetch(addr);
-            expectEqualStats(batched[cell++], scalar.stats(),
+            expectEqualStats(suite.runOne(w, config), scalar.stats(),
                              name + "/" + suite.name(w));
         }
     }

@@ -8,6 +8,7 @@
 #include <cstdlib>
 
 #include "cache/cache.h"
+#include "materialize.h"
 #include "sim/runner.h"
 #include "sim/tapeworm.h"
 #include "trace/run_trace.h"
@@ -31,7 +32,7 @@ TEST(Runner, SuiteTracesShapes)
     SuiteTraces traces(specSuite(), 10000);
     EXPECT_EQ(traces.count(), allSpecBenchmarks().size());
     for (size_t i = 0; i < traces.count(); ++i) {
-        EXPECT_EQ(traces.addresses(i).size(), 10000u);
+        EXPECT_EQ(traces.runTrace(i, 32).instructions, 10000u);
         EXPECT_FALSE(traces.name(i).empty());
     }
 }
@@ -45,12 +46,13 @@ TEST(Runner, SuiteRunMergesAllWorkloads)
 
 TEST(Runner, RunOneMatchesManualEngine)
 {
-    SuiteTraces traces({makeSpec(SpecBenchmark::Eqntott)}, 20000);
+    const WorkloadSpec spec = makeSpec(SpecBenchmark::Eqntott);
+    SuiteTraces traces({spec}, 20000);
     const FetchConfig config = highPerfBaseline();
     const FetchStats a = traces.runOne(0, config);
 
     FetchEngine engine(config);
-    for (uint64_t addr : traces.addresses(0))
+    for (uint64_t addr : materialize(spec, 20000))
         engine.fetch(addr);
     const FetchStats b = engine.stats();
     EXPECT_EQ(a.l1Misses, b.l1Misses);

@@ -9,8 +9,11 @@
  *    counts — for instruction-only and data-enabled workloads, at
  *    every line size, including budgets that cut a run mid-flight;
  *  - SuiteTraces replay must yield FetchStats bit-identical to a
- *    compressRuns(addresses(i)) replay of the same suite across every
- *    fetch-path config class tests/fetch_batch_diff_test.cc covers;
+ *    compressRuns(materialize(spec, n)) replay of the same suite
+ *    across every fetch-path config class
+ *    tests/fetch_batch_diff_test.cc covers, and the suite's run
+ *    traces must expand back to exactly the model's instruction
+ *    stream;
  *  - the SIMD probe must preserve first-match semantics and the LRU
  *    stamp-clock behavior for hits in every way position, including
  *    ways beyond the first 4-wide compare block.
@@ -23,6 +26,7 @@
 #include <vector>
 
 #include "cache/cache.h"
+#include "materialize.h"
 #include "core/fetch_engine.h"
 #include "sim/runner.h"
 #include "stats/rng.h"
@@ -89,22 +93,6 @@ configClasses()
     classes.emplace_back("unified_l2", unified);
 
     return classes;
-}
-
-/** Instruction-only materialization of `spec`, the old pipeline's
- *  first stage. */
-std::vector<uint64_t>
-materialize(const WorkloadSpec &spec, uint64_t n)
-{
-    WorkloadModel model(spec);
-    std::vector<uint64_t> addrs;
-    addrs.reserve(n);
-    TraceRecord rec;
-    while (addrs.size() < n && model.next(rec)) {
-        if (rec.isInstr())
-            addrs.push_back(rec.vaddr);
-    }
-    return addrs;
 }
 
 /** Streamed and compressed run traces of one spec must be equal
@@ -185,28 +173,51 @@ TEST(StreamGenDiff, StreamingSuiteMatchesMaterializedAllClasses)
     constexpr uint64_t kInstr = 30000;
     const SuiteTraces suite(specs, kInstr);
 
-    // Replay every cell before any flat trace exists, so every memo
-    // entry comes from the streaming generator.
-    std::vector<FetchStats> streamed;
-    for (const auto &[name, config] : configClasses()) {
-        for (size_t w = 0; w < specs.size(); ++w)
-            streamed.push_back(suite.runOne(w, config));
-    }
+    std::vector<std::vector<uint64_t>> flat;
+    for (const WorkloadSpec &spec : specs)
+        flat.push_back(materialize(spec, kInstr));
 
-    size_t cell = 0;
     for (const auto &[name, config] : configClasses()) {
         for (size_t w = 0; w < specs.size(); ++w) {
             const RunTrace runs =
-                compressRuns(suite.addresses(w), config.l1.lineBytes);
+                compressRuns(flat[w], config.l1.lineBytes);
             FetchEngine engine(config);
             for (const FetchRun &run : runs.runs)
                 engine.fetchRun(run);
-            expectEqualStats(streamed[cell++], engine.stats(),
+            expectEqualStats(suite.runOne(w, config), engine.stats(),
                              name + "/" + specs[w].name);
         }
     }
-    // addresses() is exactly the model's instruction stream.
-    EXPECT_EQ(suite.addresses(0), materialize(specs[0], kInstr));
+}
+
+TEST(StreamGenDiff, RunTracesExpandToTheModelStream)
+{
+    // The run trace is the suite's only trace form: expanding its
+    // runs (startVaddr + 4k, k < count) at any line size must give
+    // back the model's instruction stream exactly — for a data-enabled
+    // spec too, whose data records the runs skip.
+    WorkloadSpec with_data = makeIbs(IbsBenchmark::Sdet, OsType::Mach);
+    with_data.data.enabled = true;
+    const std::vector<WorkloadSpec> specs = {
+        makeIbs(IbsBenchmark::Gs, OsType::Mach), with_data};
+    constexpr uint64_t kInstr = 20000;
+    const SuiteTraces suite(specs, kInstr);
+    for (size_t w = 0; w < specs.size(); ++w) {
+        const std::vector<uint64_t> flat = materialize(specs[w], kInstr);
+        for (uint32_t line : {4u, 32u, 64u}) {
+            const RunTrace &rt = suite.runTrace(w, line);
+            std::vector<uint64_t> expanded;
+            expanded.reserve(rt.instructions);
+            for (const FetchRun &run : rt.runs) {
+                for (uint32_t k = 0; k < run.count; ++k)
+                    expanded.push_back(run.startVaddr +
+                                       uint64_t{k} * kInstrBytes);
+            }
+            EXPECT_EQ(rt.instructions, kInstr);
+            EXPECT_EQ(expanded, flat)
+                << specs[w].name << "/line" << line;
+        }
+    }
 }
 
 TEST(StreamGenDiff, StreamingSuiteRetainsOnlyRunTraces)
@@ -230,17 +241,10 @@ TEST(StreamGenDiff, StreamingSuiteRetainsOnlyRunTraces)
     // instruction); >= 1.5x is conservative even at 16B lines.
     EXPECT_LE(rt.bytes() * 3 / 2, kInstr * sizeof(uint64_t));
 
-    // Forcing the flat trace adds exactly its bytes on top.
-    const uint64_t flat_bytes =
-        suite.addresses(0).size() * sizeof(uint64_t);
-    EXPECT_EQ(flat_bytes, kInstr * sizeof(uint64_t));
-    EXPECT_EQ(suite.retainedTraceBytes(), rt.bytes() + flat_bytes);
-
-    // A run trace encoded from the flat vector is charged too, and
-    // matches what the generator would have streamed.
+    // A second line size is charged on top, and matches what the
+    // generator streams for it.
     const RunTrace &rt16 = suite.runTrace(0, 16);
-    EXPECT_EQ(suite.retainedTraceBytes(),
-              rt.bytes() + flat_bytes + rt16.bytes());
+    EXPECT_EQ(suite.retainedTraceBytes(), rt.bytes() + rt16.bytes());
     WorkloadModel model(specs[0]);
     EXPECT_EQ(rt16.runs.size(),
               generateRunTrace(model, 16, kInstr).runs.size());

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <random>
 #include <string>
 #include <vector>
@@ -42,35 +41,30 @@ expectEqualStats(const FetchStats &a, const FetchStats &b,
     EXPECT_EQ(a.bypassHits, b.bypassHits) << label;
 }
 
-/** RAII IBS_SWEEP_COLLAPSE setting, restored to unset. */
-class CollapseEnv
+/** The per-cell reference: runOne on every (config, workload),
+ *  config-major. */
+std::vector<FetchStats>
+runPerCell(const SuiteTraces &suite, const std::vector<FetchConfig> &grid)
 {
-  public:
-    explicit CollapseEnv(bool on)
-    {
-        setenv("IBS_SWEEP_COLLAPSE", on ? "1" : "0", 1);
-    }
-    ~CollapseEnv() { unsetenv("IBS_SWEEP_COLLAPSE"); }
-};
+    std::vector<FetchStats> cells;
+    for (const FetchConfig &config : grid)
+        for (size_t w = 0; w < suite.count(); ++w)
+            cells.push_back(suite.runOne(w, config));
+    return cells;
+}
 
-/** Run the same grid both ways and require all-field equality. */
+/** Sweep the grid and require all-field equality with runOne. */
 void
 expectCollapseParity(const SuiteTraces &suite,
                      const std::vector<FetchConfig> &grid,
                      const std::string &label)
 {
-    SweepResult per_cell = [&] {
-        CollapseEnv off(false);
-        return runSweep(suite, grid, 4);
-    }();
-    SweepResult collapsed = [&] {
-        CollapseEnv on(true);
-        return runSweep(suite, grid, 4);
-    }();
+    const std::vector<FetchStats> per_cell = runPerCell(suite, grid);
+    const SweepResult collapsed = runSweep(suite, grid, 4);
     for (size_t c = 0; c < grid.size(); ++c) {
         for (size_t w = 0; w < suite.count(); ++w) {
             expectEqualStats(collapsed.cell(c, w),
-                             per_cell.cell(c, w),
+                             per_cell[c * suite.count() + w],
                              label + " config " + std::to_string(c) +
                                  " workload " + suite.name(w));
         }
@@ -285,24 +279,6 @@ TEST(Collapse, CatalogClassesMatchPerCellExactly)
     expectCollapseParity(suite, grid, "catalog");
 }
 
-TEST(Collapse, FlatTraceSuiteMatchesPerCellExactly)
-{
-    // Once a caller has built the flat traces, the suite encodes its
-    // run traces with compressRuns instead of the streaming
-    // generator, so the capture run is fed from the other encoder;
-    // parity must hold there too.
-    SuiteTraces suite(specSuite(), 5000);
-    for (size_t w = 0; w < suite.count(); ++w)
-        ASSERT_EQ(suite.addresses(w).size(), 5000u);
-    std::vector<FetchConfig> grid;
-    for (uint32_t assoc : {1u, 4u})
-        grid.push_back(
-            withOnChipL2(economyBaseline(), 32 * 1024, 64, assoc));
-    expectCollapseParity(suite, grid, "flat");
-    // Both configs share one L1 front end: one capture per workload.
-    EXPECT_EQ(suite.missStreamsBuilt(), suite.count());
-}
-
 TEST(Collapse, TimingFlagsAndMissStreamMemo)
 {
     SuiteTraces suite(specSuite(), 10000);
@@ -315,10 +291,7 @@ TEST(Collapse, TimingFlagsAndMissStreamMemo)
     EXPECT_EQ(suite.missStreamsBuilt(), 0u);
     const uint64_t bytes_before = suite.retainedTraceBytes();
 
-    SweepResult collapsed = [&] {
-        CollapseEnv on(true);
-        return runSweep(suite, grid, 2);
-    }();
+    const SweepResult collapsed = runSweep(suite, grid, 2);
     // Leader (lowest grid index) carries the capture; dependents are
     // flagged as derived. Singles never are.
     for (size_t w = 0; w < suite.count(); ++w) {
@@ -335,22 +308,12 @@ TEST(Collapse, TimingFlagsAndMissStreamMemo)
     EXPECT_GT(suite.retainedTraceBytes(), bytes_before);
 
     // A second collapsed sweep reuses the streams.
-    [&] {
-        CollapseEnv on(true);
-        return runSweep(suite, grid, 2);
-    }();
+    runSweep(suite, grid, 2);
     EXPECT_EQ(suite.missStreamsBuilt(), suite.count());
 
-    // The escape hatch takes the flat per-cell path: no collapsed
-    // flags, no new capture runs.
+    // The per-cell reference never captures a miss stream.
     SuiteTraces fresh(specSuite(), 10000);
-    SweepResult per_cell = [&] {
-        CollapseEnv off(false);
-        return runSweep(fresh, grid, 2);
-    }();
-    for (size_t c = 0; c < grid.size(); ++c)
-        for (size_t w = 0; w < fresh.count(); ++w)
-            EXPECT_FALSE(per_cell.timing(c, w).collapsed);
+    runPerCell(fresh, grid);
     EXPECT_EQ(fresh.missStreamsBuilt(), 0u);
 }
 
@@ -358,9 +321,9 @@ TEST(Collapse, ObsSnapshotIsCollapseInvariant)
 {
     // The derived cells synthesize exactly the counters and the
     // sim.cell.instructions histogram sample runOne would have
-    // published, so full-registry snapshots agree between the two
-    // executors — modulo the sim.sweep.* plan counters, which only
-    // the scheduler itself emits.
+    // published, so full-registry snapshots of a sweep agree with a
+    // runOne loop over the same cells — modulo the sim.sweep.* plan
+    // counters, which only the scheduler itself emits.
     obs::Registry &registry = obs::Registry::global();
     const bool was = registry.enabled();
     registry.reset();
@@ -384,19 +347,13 @@ TEST(Collapse, ObsSnapshotIsCollapseInvariant)
             return snap;
         };
 
-    {
-        CollapseEnv on(true);
-        runSweep(suite, grid, 2);
-    }
+    runSweep(suite, grid, 2);
     const auto collapsed_counters =
         strip_plan_keys(registry.snapshot());
     const auto collapsed_hists = registry.snapshotHistograms();
 
     registry.reset();
-    {
-        CollapseEnv off(false);
-        runSweep(suite, grid, 2);
-    }
+    runPerCell(suite, grid);
     const auto per_cell_counters =
         strip_plan_keys(registry.snapshot());
     const auto per_cell_hists = registry.snapshotHistograms();
@@ -429,10 +386,7 @@ TEST(Collapse, PlanCountersAreThreadInvariant)
     for (const unsigned threads : {1u, 8u}) {
         registry.reset();
         registry.setEnabled(true);
-        {
-            CollapseEnv on(true);
-            runSweep(suite, grid, threads);
-        }
+        runSweep(suite, grid, threads);
         const auto snap = registry.snapshot();
         std::map<std::string, uint64_t> plan_keys;
         for (const auto &[name, value] : snap) {
