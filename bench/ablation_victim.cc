@@ -49,15 +49,8 @@ main()
                                         suite.name(i));
             const RunTrace &runs = suite.runTrace(i, 32);
             Cache cache(cfg);
-            // One probe per run: a miss allocates on its first
-            // instruction and the rest of the run hits that line.
-            for (const FetchRun &run : runs.runs) {
-                if (cache.accessRun(run.startVaddr, run.count))
-                    continue;
-                cache.access(run.startVaddr);
-                if (run.count > 1)
-                    cache.accessRun(run.startVaddr, run.count - 1);
-            }
+            for (const FetchRun &run : runs.runs)
+                cache.accessRunFill(run.startVaddr, run.count);
             cell_timer.stop();
             const uint64_t w_misses = cache.misses();
             const uint64_t w_instrs = runs.instructions;

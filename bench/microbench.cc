@@ -10,8 +10,8 @@
  *  - full FetchEngine fetches/sec for each L1-L2 interface policy
  *    the paper evaluates (blocking baseline, on-chip L2, prefetch +
  *    bypass, pipelined L2 + stream buffer);
- *  - trace generation: the flat-trace random walk, the run-length
- *    encoding, and fused streaming generate+replay;
+ *  - trace generation: the per-record random walk and fused
+ *    streaming generate+replay;
  *  - the layers of the per-record drivers: address translation
  *    (MemoryMap), TLB lookups, and 3C classification per access vs
  *    per run.
@@ -26,7 +26,8 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
+#include <algorithm>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,7 +42,6 @@
 #include "obs/trace_sink.h"
 #include "sim/bench_report.h"
 #include "sim/runner.h"
-#include "trace/file.h"
 #include "trace/run_trace.h"
 #include "tlb/tlb.h"
 #include "vm/address_space.h"
@@ -268,13 +268,16 @@ BM_FetchEngineStreamBuffer(benchmark::State &state)
 }
 BENCHMARK(BM_FetchEngineStreamBuffer);
 
-/** Shared run-length encoding of the common trace at the baseline's
- *  L1 line size (built once, like SuiteTraces' memo). */
+/** The common trace as runs at the baseline's L1 line size (built
+ *  once, like SuiteTraces' memo). */
 const RunTrace &
 baselineRuns()
 {
-    static const RunTrace rt =
-        compressRuns(trace(), economyBaseline().l1.lineBytes);
+    static const RunTrace rt = [] {
+        WorkloadModel model(makeIbs(IbsBenchmark::Gs, OsType::Mach));
+        return generateRunTrace(model, economyBaseline().l1.lineBytes,
+                                traceLength());
+    }();
     return rt;
 }
 
@@ -386,35 +389,6 @@ BM_SimdProbe(benchmark::State &state)
 }
 BENCHMARK(BM_SimdProbe)->MinTime(0.25);
 
-/**
- * Cost of building the run-length encoding itself — what a sweep
- * pays once per (workload, lineBytes) before the batched replay can
- * amortize it across the grid. instructions_per_run records the
- * compression ratio at this line size.
- */
-void
-BM_RunCompression(benchmark::State &state)
-{
-    const uint32_t line_bytes = static_cast<uint32_t>(state.range(0));
-    const auto &addrs = trace();
-    double ratio = 0.0;
-    for (auto _ : state) {
-        const RunTrace rt = compressRuns(addrs, line_bytes);
-        ratio = rt.instructionsPerRun();
-        benchmark::DoNotOptimize(rt.runs.data());
-    }
-    const auto instrs =
-        static_cast<uint64_t>(state.iterations()) * addrs.size();
-    state.SetItemsProcessed(static_cast<int64_t>(instrs));
-    state.counters["instructions_per_second"] = benchmark::Counter(
-        static_cast<double>(instrs), benchmark::Counter::kIsRate);
-    state.counters["instructions_per_run"] = ratio;
-}
-BENCHMARK(BM_RunCompression)
-    ->ArgNames({"line"})
-    ->Arg(32)
-    ->Arg(64);
-
 /** The shared workload's I+D reference stream, ASIDs included (what
  *  address translation and the TLB see), for traceLength()
  *  instructions. */
@@ -510,40 +484,42 @@ BM_ThreeC(benchmark::State &state)
 BENCHMARK(BM_ThreeC)->ArgNames({"run"})->Arg(0)->Arg(1);
 
 /**
- * Cost of the observability layer around a full-trace engine run:
+ * Cost of the observability layer around a full-trace engine run,
+ * in modes:
  *
  *   mode 0  plain loop, no obs constructs at all (the pre-obs shape)
  *   mode 1  ScopedTimer + publication gate, registry disabled
  *   mode 2  registry enabled, counters published per run
- *   mode 3  registry enabled + an active TraceEventSink
  *   mode 4  registry enabled, counters + a histogram observation
  *           per run (the sweep executor's sim.cell.instructions
  *           publication pattern)
  *
- * One iteration = one fresh FetchEngine over the whole shared trace,
- * matching how sweep cells run. perf_smoke asserts mode 1 regresses
- * mode 0 by at most 10% (the disabled layer is supposed to be free);
- * modes 2-4 document the enabled cost. MinTime overrides the
- * CLI's tiny perf_smoke window so the ratio is measured, not noise.
+ * Cell mode:M/base:B measures M against B in pairs: each iteration
+ * times one fresh-FetchEngine run over the whole shared trace in
+ * each mode, back to back, alternating which goes first. A pair's
+ * ratio is base time / mode time (M's rate relative to B's), and
+ * median_ratio is the median over all pairs, so a frequency dip or
+ * a noisy neighbour sinks single pairs, not the median. perf_smoke
+ * hard-gates median_ratio >= 0.90 for mode:1/base:0 (the disabled
+ * layer is supposed to be free) and mode:4/base:2 (one observe per
+ * run is a handful of arithmetic ops).
  */
 void
 BM_ObsOverhead(benchmark::State &state)
 {
     const int mode = static_cast<int>(state.range(0));
+    const int base = static_cast<int>(state.range(1));
     obs::Registry &reg = obs::Registry::global();
     const bool was_enabled = reg.enabled();
+    // Both modes of a cell agree on whether the registry is on.
     reg.setEnabled(mode >= 2);
-    std::unique_ptr<obs::TraceEventSink> prev;
-    if (mode == 3) {
-        prev = obs::TraceEventSink::exchangeGlobal(
-            std::make_unique<obs::TraceEventSink>("/dev/null"));
-    }
 
     const FetchConfig config = economyBaseline();
     const auto &addrs = trace();
-    for (auto _ : state) {
+    auto timed_run = [&](int m) {
+        const auto start = std::chrono::steady_clock::now();
         FetchEngine engine(config);
-        if (mode == 0) {
+        if (m == 0) {
             for (uint64_t a : addrs)
                 engine.fetch(a);
         } else {
@@ -553,50 +529,49 @@ BM_ObsOverhead(benchmark::State &state)
             timer.stop();
             if (reg.enabled()) {
                 engine.publishCounters(reg);
-                if (mode == 4)
+                if (m == 4)
                     reg.observe("microbench.cell.instructions",
                                 engine.stats().instructions);
             }
         }
         benchmark::DoNotOptimize(engine.stats().l1Misses);
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start)
+            .count();
+    };
+
+    timed_run(mode); // Warm-up, untimed.
+    timed_run(base);
+    std::vector<double> ratios;
+    for (auto _ : state) {
+        const bool mode_first = ratios.size() % 2 == 0;
+        const double first = timed_run(mode_first ? mode : base);
+        const double second = timed_run(mode_first ? base : mode);
+        ratios.push_back(mode_first ? second / first : first / second);
+        state.SetIterationTime(first + second);
     }
+    const auto mid = ratios.begin() +
+        static_cast<std::ptrdiff_t>(ratios.size() / 2);
+    std::nth_element(ratios.begin(), mid, ratios.end());
 
     const auto fetches = static_cast<uint64_t>(state.iterations()) *
-        addrs.size();
+        2 * addrs.size();
     state.SetItemsProcessed(static_cast<int64_t>(fetches));
     state.counters["fetches_per_second"] = benchmark::Counter(
         static_cast<double>(fetches), benchmark::Counter::kIsRate);
+    state.counters["pairs"] = static_cast<double>(ratios.size());
+    state.counters["median_ratio"] = *mid;
 
-    if (mode == 3)
-        obs::TraceEventSink::exchangeGlobal(std::move(prev));
     if (mode >= 2)
         reg.reset();
     reg.setEnabled(was_enabled);
 }
 BENCHMARK(BM_ObsOverhead)
-    ->ArgNames({"mode"})
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(3)
-    ->Arg(4)
-    ->MinTime(0.25);
-
-void
-BM_TraceFileWrite(benchmark::State &state)
-{
-    const std::string path = "/tmp/ibs_microbench.ibst";
-    const auto &addrs = trace();
-    const size_t n = addrs.size() < 100000 ? addrs.size() : 100000;
-    for (auto _ : state) {
-        TraceFileWriter writer(path);
-        for (size_t i = 0; i < n; ++i)
-            writer.write({addrs[i], 1, RefKind::InstrFetch});
-    }
-    state.SetItemsProcessed(state.iterations() * n);
-    std::remove(path.c_str());
-}
-BENCHMARK(BM_TraceFileWrite);
+    ->ArgNames({"mode", "base"})
+    ->Args({1, 0})
+    ->Args({4, 2})
+    ->Iterations(25)
+    ->UseManualTime();
 
 /**
  * Forwards everything to the default console reporter (keeping the

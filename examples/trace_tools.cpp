@@ -1,31 +1,23 @@
 /**
  * @file
- * Example: working with on-disk traces and the Monster capture model.
+ * Example: bounding the distortion of a Monster trace capture.
  *
- * The original IBS study distributed its logic-analyzer traces so
- * others could reproduce the results. This example shows the same
- * workflow with the reconstruction:
+ * The original IBS traces were captured by the Monster logic
+ * analyzer, which stalls the machine while it unloads its buffer.
+ * This example replays a workload through an I-cache twice — once
+ * captured non-invasively, once with the stall-and-unload handler's
+ * references injected — to reproduce the paper's <5% distortion
+ * check:
  *
- *   trace_tools record <workload> <file> [n]   generate + store a trace
- *   trace_tools stat <file>                    summarize a stored trace
- *   trace_tools simulate <file> [kb]           MPI of a stored trace
- *   trace_tools monster <workload> [n]         bound capture distortion
- *
- * `record` writes the compact IBST format (~2 bytes/record for
- * instruction streams); `simulate` replays it through an I-cache the
- * way the paper's trace-driven runs did; `monster` compares a
- * non-invasive capture with a stall-and-unload capture to reproduce
- * the paper's <5% distortion check.
+ *   trace_tools monster <workload> [n]
  */
 
 #include <cstdlib>
 #include <iostream>
-#include <map>
 #include <string>
 
 #include "cache/cache.h"
 #include "stats/table.h"
-#include "trace/file.h"
 #include "trace/monster.h"
 #include "workload/ibs.h"
 #include "workload/model.h"
@@ -50,72 +42,6 @@ lookupOrDie(const std::string &name)
     }
     std::cerr << "unknown workload: " << name << "\n";
     std::exit(1);
-}
-
-int
-record(const std::string &name, const std::string &path, uint64_t n)
-{
-    WorkloadSpec spec = lookupOrDie(name);
-    spec.data.enabled = true; // Full traces, like the originals.
-    WorkloadModel model(spec);
-    TraceFileWriter writer(path);
-    TraceRecord rec;
-    uint64_t instrs = 0;
-    while (instrs < n && model.next(rec)) {
-        writer.write(rec);
-        if (rec.isInstr())
-            ++instrs;
-    }
-    writer.close();
-    std::cout << "wrote " << writer.count() << " records ("
-              << instrs << " instructions) to " << path << "\n";
-    return 0;
-}
-
-int
-stat(const std::string &path)
-{
-    TraceFileReader reader(path);
-    std::map<RefKind, uint64_t> kinds;
-    std::map<Asid, uint64_t> asids;
-    TraceRecord rec;
-    while (reader.next(rec)) {
-        ++kinds[rec.kind];
-        ++asids[rec.asid];
-    }
-    TextTable table("trace " + path);
-    table.setHeader({"metric", "value"});
-    table.addRow({"records", TextTable::num(reader.totalRecords())});
-    table.addRow({"instruction fetches",
-                  TextTable::num(kinds[RefKind::InstrFetch])});
-    table.addRow({"loads", TextTable::num(kinds[RefKind::DataRead])});
-    table.addRow({"stores",
-                  TextTable::num(kinds[RefKind::DataWrite])});
-    table.addRow({"address spaces",
-                  TextTable::num(uint64_t{asids.size()})});
-    std::cout << table.render();
-    return 0;
-}
-
-int
-simulate(const std::string &path, uint64_t kb)
-{
-    TraceFileReader reader(path);
-    Cache cache(CacheConfig{kb * 1024, 1, 32, Replacement::LRU});
-    TraceRecord rec;
-    uint64_t instrs = 0, misses = 0;
-    while (reader.next(rec)) {
-        if (!rec.isInstr())
-            continue;
-        ++instrs;
-        if (!cache.access(rec.vaddr))
-            ++misses;
-    }
-    std::cout << "I-cache " << kb << "KB DM 32B: MPI = "
-              << TextTable::num(100.0 * misses / instrs, 2)
-              << " per 100 instructions (" << instrs
-              << " instructions)\n";
-    return 0;
 }
 
 int
@@ -161,28 +87,11 @@ int
 main(int argc, char **argv)
 {
     const std::string cmd = argc > 1 ? argv[1] : "";
-    if (cmd == "record" && argc >= 4) {
-        return record(argv[2], argv[3],
-                      argc > 4 ? std::strtoull(argv[4], nullptr, 10)
-                               : 1'000'000);
-    }
-    if (cmd == "stat" && argc >= 3)
-        return stat(argv[2]);
-    if (cmd == "simulate" && argc >= 3) {
-        return simulate(argv[2],
-                        argc > 3 ? std::strtoull(argv[3], nullptr, 10)
-                                 : 8);
-    }
     if (cmd == "monster" && argc >= 3) {
         return monster(argv[2],
                        argc > 3 ? std::strtoull(argv[3], nullptr, 10)
                                 : 1'000'000);
     }
-    std::cerr <<
-        "usage:\n"
-        "  trace_tools record <workload> <file> [instructions]\n"
-        "  trace_tools stat <file>\n"
-        "  trace_tools simulate <file> [cache-KB]\n"
-        "  trace_tools monster <workload> [instructions]\n";
+    std::cerr << "usage: trace_tools monster <workload> [instructions]\n";
     return 1;
 }

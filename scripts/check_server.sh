@@ -39,7 +39,10 @@ validator="$4"
 stat="$5"
 
 workdir=$(mktemp -d "${TMPDIR:-/tmp}/ibs_server.XXXXXX")
-trap 'rm -rf "$workdir"' EXIT INT TERM
+# A check that fails while ibs_serve runs must not leave it running.
+serve_pid=""
+trap '[ -z "$serve_pid" ] || kill -9 "$serve_pid" 2>/dev/null; rm -rf "$workdir"' \
+    EXIT INT TERM
 
 # --- 1. The server benchmark writes a valid report. ----------------
 env -u IBS_OBS -u IBS_OBS_TRACE -u IBS_PROGRESS \
@@ -136,6 +139,7 @@ kill -INT "$serve_pid"
 
 rc=0
 wait "$serve_pid" || rc=$?
+serve_pid=""
 if [ "$rc" -ne 0 ]; then
     echo "FAIL: ibs_serve exited $rc after SIGINT" >&2
     cat "$workdir/serve.err" >&2

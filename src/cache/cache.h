@@ -78,6 +78,18 @@ class Cache
      */
     bool accessRun(uint64_t addr, uint64_t count);
 
+    /**
+     * Reference the line containing `addr` `count` times, allocating
+     * it on a miss: bit-identical to `count` access() calls. A hit
+     * costs the one accessRun probe; on a miss only the first
+     * reference can miss, so access() allocates the line and
+     * accessRun applies the remaining `count - 1` hits. A zero count
+     * changes nothing.
+     *
+     * @retval true the first reference hit (or `count` is zero)
+     */
+    bool accessRunFill(uint64_t addr, uint64_t count);
+
     /** Hit/miss test without any state change. */
     bool contains(uint64_t addr) const;
 
@@ -253,6 +265,17 @@ Cache::accessRun(uint64_t addr, uint64_t count)
         stamps_[base + static_cast<uint32_t>(w)] = clock_;
     }
     return true;
+}
+
+inline bool
+Cache::accessRunFill(uint64_t addr, uint64_t count)
+{
+    if (count == 0 || accessRun(addr, count))
+        return true;
+    access(addr);
+    if (count > 1)
+        accessRun(addr, count - 1);
+    return false;
 }
 
 } // namespace ibs

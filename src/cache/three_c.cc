@@ -50,20 +50,10 @@ ThreeCClassifier::access(uint64_t addr)
 void
 ThreeCClassifier::accessRun(uint64_t addr, uint64_t count)
 {
-    if (count == 0)
-        return;
     accesses_ += count;
-    if (!measured_.accessRun(addr, count)) {
-        measured_.access(addr);
-        if (count > 1)
-            measured_.accessRun(addr, count - 1);
-    }
-    if (!proxy_.accessRun(addr, count)) {
-        proxy_.access(addr);
+    measured_.accessRunFill(addr, count);
+    if (!proxy_.accessRunFill(addr, count))
         notePossibleFirstTouch(addr);
-        if (count > 1)
-            proxy_.accessRun(addr, count - 1);
-    }
 }
 
 ThreeCBreakdown

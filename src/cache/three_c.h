@@ -72,8 +72,9 @@ class ThreeCClassifier
     /**
      * Classify `count` references to the line containing `addr`, as
      * `count` access() calls would, with one tag probe per cache
-     * when the run hits (Cache::accessRun). Only the first reference
-     * of a run can miss; it then allocates the line the rest hit.
+     * when the run hits (Cache::accessRunFill). Only the first
+     * reference of a run can miss; it then allocates the line the
+     * rest hit.
      */
     void accessRun(uint64_t addr, uint64_t count);
 

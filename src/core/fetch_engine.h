@@ -52,9 +52,11 @@ class FetchEngine
     void fetch(uint64_t vaddr);
 
     /**
-     * Simulate a whole sequential fetch run (trace/run_trace.h). The
-     * run's instructions are +4-sequential within one L1 line by
-     * construction, so when no bypass/refill window is active and
+     * Simulate a whole sequential fetch run (trace/run_trace.h, cut
+     * by workload/run_stream.h). The run's ASID is not consulted:
+     * the engine's caches are virtually indexed, as in the paper's
+     * trace-driven runs. The run's instructions are +4-sequential
+     * within one L1 line by construction, so when no bypass/refill window is active and
      * the line already sits in L1 the entire run retires in O(1):
      * one tag probe, `instructions += count`, `cycle += count`, and
      * the L1 stamp clock advanced by `count` (Cache::accessRun), all
@@ -63,11 +65,11 @@ class FetchEngine
      * different line size — falls back to the scalar loop, so
      * simulated statistics never depend on which path ran.
      *
-     * The run must have been encoded with a line size equal to (or
+     * The run must have been cut with a line size equal to (or
      * dividing) the L1's: a run that could straddle an L1 line is
      * detected and handled by the fallback, at scalar speed.
      *
-     * Defined inline below: one call per compressed run is the whole
+     * Defined inline below: one call per run is the whole
      * per-run cost of the batched replay loop, so the hit path (a
      * window check, a line-straddle compare, one inlined tag probe)
      * must not also pay a cross-TU call.

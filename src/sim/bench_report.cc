@@ -7,6 +7,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <thread>
 
 #include "obs/log.h"
 #include "obs/registry.h"
@@ -19,6 +21,31 @@
 #endif
 
 namespace ibs {
+
+namespace {
+
+/** The host's CPU model as /proc/cpuinfo names it ("unknown" where
+ *  it does not), the same string perfbench/run.py fingerprints. */
+std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("model name", 0) != 0)
+            continue;
+        const size_t colon = line.find(':');
+        if (colon == std::string::npos)
+            break;
+        const size_t first = line.find_first_not_of(" \t", colon + 1);
+        const size_t last = line.find_last_not_of(" \t\r");
+        return first == std::string::npos
+            ? "unknown" : line.substr(first, last - first + 1);
+    }
+    return "unknown";
+}
+
+} // namespace
 
 Json
 toJson(const CacheConfig &config)
@@ -153,7 +180,13 @@ BenchReport::BenchReport(std::string bench_name)
         .set("schema_version", Json::number(uint64_t{2}))
         .set("threads", Json::number(uint64_t{sweepThreads()}))
         .set("bench_instructions",
-             Json::number(benchInstructions()));
+             Json::number(benchInstructions()))
+        .set("host",
+             Json::object()
+                 .set("cpu_model", Json::string(cpuModel()))
+                 .set("nproc",
+                      Json::number(uint64_t{
+                          std::thread::hardware_concurrency()})));
 }
 
 void

@@ -17,6 +17,10 @@
  *       "schema_version": 2,
  *       "threads": <as above>,
  *       "bench_instructions": <IBS_BENCH_INSTR resolution>,
+ *       "host": {
+ *         "cpu_model": "<CPU model from /proc/cpuinfo, or unknown>",
+ *         "nproc": <logical CPUs online>
+ *       },
  *       ...bench-specific keys added via meta()...
  *     },
  *     "cells": [

@@ -14,42 +14,13 @@
 #include "obs/timer.h"
 #include "sim/parallel.h"
 #include "sim/sweep.h"
-#include "trace/run_trace.h"
 #include "vm/address_space.h"
 #include "workload/model.h"
+#include "workload/run_stream.h"
 
 namespace ibs {
 
 namespace {
-
-/** The workload's first `instructions` instruction fetches,
- *  run-encoded per ASID at `line_bytes`. */
-AsidRunTrace
-generateTrace(const WorkloadSpec &spec, uint32_t line_bytes,
-              uint64_t instructions)
-{
-    WorkloadModel model(spec);
-    AsidRunEncoder encoder(line_bytes);
-    uint64_t done = 0;
-    if (!spec.data.enabled) {
-        while (done < instructions) {
-            uint64_t start = 0;
-            const uint64_t n =
-                model.nextInstrBlock(instructions - done, start);
-            encoder.append(model.currentAsid(), start, n);
-            done += n;
-        }
-    } else {
-        TraceRecord rec;
-        while (done < instructions && model.next(rec)) {
-            if (rec.isInstr()) {
-                encoder.append(rec.asid, rec.vaddr, 1);
-                ++done;
-            }
-        }
-    }
-    return encoder.finish();
-}
 
 /** Points that see the same physical mapping in every trial. */
 struct Group
@@ -112,11 +83,13 @@ runTapewormGrid(const WorkloadSpec &spec,
         max_trials = std::max(max_trials, config.trials);
     }
 
-    std::map<uint64_t, AsidRunTrace> traces;
+    std::map<uint64_t, RunTrace> traces;
     {
         obs::ScopedTimer timer("tapeworm.generate");
-        for (const auto &[length, line] : cut_line)
-            traces.emplace(length, generateTrace(spec, line, length));
+        for (const auto &[length, line] : cut_line) {
+            WorkloadModel model(spec);
+            traces.emplace(length, generateRunTrace(model, line, length));
+        }
     }
 
     // One item per (group, trial); each writes only its members'
@@ -130,7 +103,7 @@ runTapewormGrid(const WorkloadSpec &spec,
     parallelFor(items.size(), sweepThreads(), [&](size_t i) {
         const Group &group = groups[items[i].first];
         const uint32_t trial = items[i].second;
-        const AsidRunTrace &trace = traces.at(group.instructions);
+        const RunTrace &trace = traces.at(group.instructions);
 
         std::vector<uint64_t> paddrs(trace.runs.size());
         obs::ScopedTimer translate("tapeworm.translate");
@@ -149,16 +122,9 @@ runTapewormGrid(const WorkloadSpec &spec,
             Cache cache(configs[c].cache);
             uint64_t n_miss = 0;
             for (size_t r = 0; r < trace.runs.size(); ++r) {
-                const uint64_t paddr = paddrs[r];
-                const uint32_t count = trace.runs[r].count;
-                if (cache.accessRun(paddr, count))
-                    continue;
-                // Only a run's first fetch can miss: it allocates
-                // the line the rest of the run then hits.
-                ++n_miss;
-                cache.access(paddr);
-                if (count > 1)
-                    cache.accessRun(paddr, count - 1);
+                // Only a run's first fetch can miss.
+                n_miss += !cache.accessRunFill(paddrs[r],
+                                               trace.runs[r].count);
             }
             misses[c * max_trials + trial] = n_miss;
         }

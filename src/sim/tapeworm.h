@@ -13,10 +13,10 @@
  * mapping across trials, exactly as on the real machine.
  *
  * runTapewormGrid replays many experiment points at once. It
- * generates each trace length once, run-encoded per ASID
- * (trace/run_trace.h AsidRunEncoder); a run never crosses a line,
- * and lines are no larger than a page, so a run never crosses a page
- * and one MemoryMap translation serves the whole run. Points that
+ * generates each trace length once as ASID-tagged runs
+ * (workload/run_stream.h generateRunTrace); a run never crosses a
+ * line, and lines are no larger than a page, so a run never crosses a
+ * page and one MemoryMap translation serves the whole run. Points that
  * share (trace length, policy, frames, colors) see the *same*
  * physical mapping in a given trial — the allocator's same-color
  * collision probe steps by `colors`, so the color count is part of

@@ -1,20 +1,23 @@
 /**
  * @file
- * Run-length compressed instruction traces.
+ * Run-length encoded instruction traces.
  *
  * The workload model emits geometric *sequential runs* of 4-byte
  * instructions (DESIGN §2), so with 16-64B cache lines most
  * consecutive fetches land in the line the previous fetch just
- * touched. compressRuns() folds a flat instruction-address vector
- * into FetchRun records — one record per maximal stretch of
- * consecutive +4 fetches that stays inside a single cache line — so
+ * touched. A RunTrace stores the instruction stream as FetchRun
+ * records — one record per maximal stretch of consecutive +4 fetches
+ * that stays inside a single cache line and one address space — so
  * replay loops can retire a whole line-resident run with one tag
  * probe (FetchEngine::fetchRun) instead of one probe per
- * instruction.
+ * instruction, and physically-indexed replay (sim/tapeworm.h) can
+ * translate a run with one page lookup.
  *
- * The encoding depends only on the line size, not on any other cache
- * parameter, which is what lets SuiteTraces share one RunTrace per
- * (workload, lineBytes) across every cell of a sweep grid.
+ * RunStream (workload/run_stream.h) is the one encoder: it cuts the
+ * model's stream as it is generated. The encoding depends only on the
+ * line size, not on any other cache parameter, which is what lets
+ * SuiteTraces share one RunTrace per (workload, lineBytes) across
+ * every cell of a sweep grid.
  */
 
 #ifndef IBS_TRACE_RUN_TRACE_H
@@ -33,13 +36,19 @@ inline constexpr uint32_t kInstrBytes = 4;
 /**
  * One maximal sequential fetch run: `count` instructions at
  * startVaddr, startVaddr+4, ..., startVaddr+4*(count-1), all inside
- * one cache line of the RunTrace's lineBytes.
+ * one cache line of the RunTrace's lineBytes and all fetched by
+ * address space `asid`.
  */
 struct FetchRun
 {
     uint64_t startVaddr = 0;
     uint32_t count = 0;
+    Asid asid = KERNEL_ASID;
 };
+
+// The ASID sits in what would otherwise be padding: replay loops and
+// memo budgets price a run at 16 bytes.
+static_assert(sizeof(FetchRun) == 16);
 
 /** A whole instruction trace as line-bounded sequential runs. */
 struct RunTrace
@@ -66,74 +75,6 @@ struct RunTrace
     {
         return static_cast<uint64_t>(runs.size()) * sizeof(FetchRun);
     }
-};
-
-/**
- * Compress a flat instruction-address vector into line-bounded
- * sequential runs.
- *
- * A run is extended while the next address is exactly the previous
- * plus kInstrBytes *and* still in the same `line_bytes`-sized line as
- * the run's start; any taken branch, discontinuity or line-boundary
- * crossing starts a new run. Concatenating the runs therefore
- * reproduces the input exactly — the encoding is lossless.
- *
- * @param addrs instruction fetch addresses, in trace order
- * @param line_bytes cache line size; must be a power of two >= 4
- * @throws std::invalid_argument on an invalid line size
- */
-RunTrace compressRuns(const std::vector<uint64_t> &addrs,
-                      uint32_t line_bytes);
-
-/**
- * One line-bounded sequential run tagged with the address space that
- * fetched it. Physically-indexed replay (sim/tapeworm.h) needs the
- * ASID to translate; with lines no larger than a page, a run never
- * crosses a page, so one translation serves the whole run.
- */
-struct AsidRun
-{
-    uint64_t startVaddr = 0;
-    uint32_t count = 0;
-    Asid asid = KERNEL_ASID;
-};
-
-/** A whole ASID-tagged instruction trace as line-bounded runs. */
-struct AsidRunTrace
-{
-    uint32_t lineBytes = 0;    ///< Line size the runs were cut for.
-    uint64_t instructions = 0; ///< Sum of all run counts.
-    std::vector<AsidRun> runs;
-};
-
-/**
- * Incremental encoder of AsidRunTraces: compressRuns' cut rule (a
- * non-+4 step or a line-boundary crossing starts a new run) plus a
- * cut on every ASID change, so each run is fetched by one address
- * space. Concatenating the runs reproduces the appended
- * (asid, address) sequence exactly.
- */
-class AsidRunEncoder
-{
-  public:
-    /**
-     * @param line_bytes line size to cut at; must be a power of two
-     *        >= 4
-     * @throws std::invalid_argument on an invalid line size
-     */
-    explicit AsidRunEncoder(uint32_t line_bytes);
-
-    /** Append `count` instructions at start, start+4, ... fetched
-     *  by `asid`. */
-    void append(Asid asid, uint64_t start, uint64_t count);
-
-    /** Close the pending run and hand over the encoded trace. */
-    AsidRunTrace finish();
-
-  private:
-    AsidRunTrace trace_;
-    uint64_t lineMask_; ///< ~(lineBytes - 1).
-    AsidRun pending_;   ///< Run being extended; count 0 when none.
 };
 
 } // namespace ibs

@@ -30,6 +30,7 @@ RunStream::refill()
         return false;
     if (!perRecord_) {
         blockLen_ = model_.nextInstrBlock(cap_ - pulled_, blockStart_);
+        blockAsid_ = model_.currentAsid();
         pulled_ += blockLen_;
         return true;
     }
@@ -42,6 +43,7 @@ RunStream::refill()
             continue;
         blockStart_ = rec.vaddr;
         blockLen_ = 1;
+        blockAsid_ = rec.asid;
         ++pulled_;
         return true;
     }
@@ -53,48 +55,44 @@ RunStream::next(FetchRun &run)
 {
     for (;;) {
         if (blockLen_ == 0 && !refill()) {
-            if (pendCount_ == 0)
+            if (pend_.count == 0)
                 return false;
-            run = FetchRun{pendStart_, pendCount_};
-            pendCount_ = 0;
-            emitted_ += run.count;
-            ++runs_;
-            return true;
+            break;
         }
-        if (pendCount_ != 0) {
-            // Same cut rule as compressRuns: extend only while the
-            // next address is contiguous *and* still in the line the
-            // run started in.
+        if (pend_.count != 0) {
+            // Extend only while the next address is contiguous, still
+            // in the line the run started in, and fetched by the
+            // same address space.
             const uint64_t pend_end =
-                pendStart_ + uint64_t{pendCount_} * kInstrBytes;
-            const uint64_t run_line = pendStart_ & lineMask_;
-            if (blockStart_ == pend_end &&
-                (blockStart_ & lineMask_) == run_line) {
-                const uint64_t room =
-                    (run_line + lineBytes_ - blockStart_) /
-                    kInstrBytes;
-                const uint64_t m = std::min(blockLen_, room);
-                pendCount_ += static_cast<uint32_t>(m);
-                blockStart_ += m * kInstrBytes;
-                blockLen_ -= m;
-                continue;
-            }
-            run = FetchRun{pendStart_, pendCount_};
-            pendCount_ = 0;
-            emitted_ += run.count;
-            ++runs_;
-            return true;
+                pend_.startVaddr + uint64_t{pend_.count} * kInstrBytes;
+            const uint64_t run_line = pend_.startVaddr & lineMask_;
+            if (blockStart_ != pend_end ||
+                (blockStart_ & lineMask_) != run_line ||
+                blockAsid_ != pend_.asid)
+                break;
+            const uint64_t room =
+                (run_line + lineBytes_ - blockStart_) / kInstrBytes;
+            const uint64_t m = std::min(blockLen_, room);
+            pend_.count += static_cast<uint32_t>(m);
+            blockStart_ += m * kInstrBytes;
+            blockLen_ -= m;
+            continue;
         }
         // Start a new run at the block head, bounded by its line.
         const uint64_t room =
             ((blockStart_ & lineMask_) + lineBytes_ - blockStart_) /
             kInstrBytes;
         const uint64_t m = std::min(blockLen_, room);
-        pendStart_ = blockStart_;
-        pendCount_ = static_cast<uint32_t>(m);
+        pend_ = FetchRun{blockStart_, static_cast<uint32_t>(m),
+                         blockAsid_};
         blockStart_ += m * kInstrBytes;
         blockLen_ -= m;
     }
+    run = pend_;
+    pend_.count = 0;
+    emitted_ += run.count;
+    ++runs_;
+    return true;
 }
 
 RunTrace
@@ -104,8 +102,8 @@ generateRunTrace(WorkloadModel &model, uint32_t line_bytes,
     RunStream stream(model, line_bytes, max_instructions);
     RunTrace trace;
     trace.lineBytes = line_bytes;
-    // Same conservative guess as compressRuns: traces typically
-    // compress well past 4 instructions per run.
+    // Conservative guess: traces typically compress well past 4
+    // instructions per run.
     trace.runs.reserve(max_instructions / 4 + 1);
     FetchRun run;
     while (stream.next(run))

@@ -1,22 +1,21 @@
 /**
  * @file
- * RunStream: zero-materialization streaming run generation.
+ * RunStream: the one run encoder, fused with trace generation.
  *
  * Replaying a workload through the batched fetch path
- * (FetchEngine::fetchRun) needs FetchRun records, not individual
- * addresses — yet the materialize-then-compress pipeline first writes
- * every instruction address into a flat std::vector<uint64_t> (8
- * bytes per instruction) and then re-reads it all through
- * compressRuns(). RunStream fuses the two: it pulls whole sequential
- * blocks straight out of the WorkloadModel (which knows its next
- * `runLeft` fetches are +4-contiguous, so a block costs O(1), not
- * O(instructions)) and slices them into line-bounded runs on the
- * fly. The flat address vector is never materialized, and the run
- * sequence is bit-identical to
- * compressRuns(materialized_addresses, line_bytes) — the cut rule
- * (break on any discontinuity or line-boundary crossing) is the
- * same, applied incrementally (differential-tested run-for-run in
- * tests/stream_gen_diff_test.cc).
+ * (FetchEngine::fetchRun) or the Tapeworm grid (sim/tapeworm.h)
+ * needs FetchRun records, not individual addresses. RunStream pulls
+ * whole sequential blocks straight out of the WorkloadModel (which
+ * knows its next `runLeft` fetches are +4-contiguous, so a block
+ * costs O(1), not O(instructions)) and slices them into runs on the
+ * fly; the flat address vector is never materialized. The cut rule:
+ * a run is extended while the next address is exactly the previous
+ * plus kInstrBytes, still in the `line_bytes` line the run started
+ * in, and fetched by the same address space; anything else starts a
+ * new run. Concatenating the runs therefore reproduces the model's
+ * (asid, address) instruction stream exactly — differential-tested
+ * run-for-run against a flat-vector oracle in
+ * tests/stream_gen_diff_test.cc.
  *
  * Workloads with data references enabled fall back to pulling one
  * record at a time (every instruction then draws from the scheduler
@@ -43,7 +42,7 @@ class RunStream
      * @param model generator to drain (not owned; reads records or
      *        blocks from its current position)
      * @param line_bytes cache line size the runs are cut for; must be
-     *        a power of two >= 4 (same contract as compressRuns)
+     *        a power of two >= 4
      * @param max_instructions stop after this many instructions
      * @throws std::invalid_argument on an invalid line size
      */
@@ -85,16 +84,16 @@ class RunStream
     // Contiguous block not yet sliced into runs.
     uint64_t blockStart_ = 0;
     uint64_t blockLen_ = 0;
+    Asid blockAsid_ = KERNEL_ASID;
     // Run being extended (possibly across blocks: a sequential
     // fall-through in the walker continues the same line).
-    uint64_t pendStart_ = 0;
-    uint32_t pendCount_ = 0;
+    FetchRun pend_;
 };
 
 /**
- * Drain a RunStream over `model` into a RunTrace — the streaming
- * replacement for materialize-then-compressRuns. Bit-identical runs,
- * but peak memory is the compressed trace alone.
+ * Drain a RunStream over `model` into a RunTrace: the first
+ * `max_instructions` instruction fetches, cut at `line_bytes`. Peak
+ * memory is the run trace alone.
  */
 RunTrace generateRunTrace(WorkloadModel &model, uint32_t line_bytes,
                           uint64_t max_instructions);

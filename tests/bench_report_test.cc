@@ -94,6 +94,8 @@ TEST(BenchReport, BuildMatchesSchema)
     EXPECT_EQ(meta.at("schema_version").asNumber(), 2);
     EXPECT_GE(meta.at("threads").asNumber(), 1);
     EXPECT_GE(meta.at("bench_instructions").asNumber(), 1);
+    EXPECT_FALSE(meta.at("host").at("cpu_model").asString().empty());
+    EXPECT_GE(meta.at("host").at("nproc").asNumber(), 1);
     EXPECT_GE(doc.at("total_wall_seconds").asNumber(), 0.0);
 
     const Json &cells = doc.at("cells");

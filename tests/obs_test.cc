@@ -61,6 +61,17 @@ readFile(const std::string &path)
     return buffer.str();
 }
 
+/** `prefix` followed by decimal `n`. Built by appending: GCC 12
+ *  warns (-Wrestrict, a false positive) on "literal" +
+ *  std::to_string(n). */
+std::string
+numbered(const char *prefix, uint64_t n)
+{
+    std::string s(prefix);
+    s += std::to_string(n);
+    return s;
+}
+
 TEST(ObsRegistry, CountersSumAcrossCallsAndThreads)
 {
     RegistryGuard guard;
@@ -467,8 +478,7 @@ TEST(ObsTraceSink, ConcurrentSpansAllSurviveAndStayMonotonicPerTid)
             workers.emplace_back([&sink, t] {
                 for (int i = 0; i < SPANS; ++i) {
                     const uint64_t ts = sink.nowMicros();
-                    sink.span("w" + std::to_string(t) + "/" +
-                                  std::to_string(i),
+                    sink.span(numbered("w", t) + numbered("/", i),
                               "test", ts, 1);
                 }
             });
@@ -682,7 +692,7 @@ TEST(ObsTraceSink, RotationSpillsInsteadOfBufferingUnboundedly)
     {
         obs::TraceEventSink sink(path, THRESHOLD);
         for (size_t i = 0; i < EVENTS; ++i)
-            sink.span("e" + std::to_string(i), "test", i, 1);
+            sink.span(numbered("e", i), "test", i, 1);
         // Rotation kept the in-memory buffer under the threshold the
         // whole time: everything but the tail is already on disk.
         EXPECT_GE(sink.spilledCount(),
@@ -697,7 +707,7 @@ TEST(ObsTraceSink, RotationSpillsInsteadOfBufferingUnboundedly)
     for (size_t i = 0; i < events.size(); ++i)
         ++names[events.at(i).at("name").asString()];
     for (size_t i = 0; i < EVENTS; ++i)
-        EXPECT_EQ(names["e" + std::to_string(i)], 1) << i;
+        EXPECT_EQ(names[numbered("e", i)], 1) << i;
     obs::Registry::global().setEnabled(was);
     std::remove(path.c_str());
 }

@@ -265,50 +265,5 @@ TEST(TapewormGrid, RejectsLinesLargerThanAPage)
                  std::invalid_argument);
 }
 
-TEST(AsidRunEncoder, AsidSwitchCutsContiguousRunInOneLine)
-{
-    // 0x1000..0x100c are +4-contiguous inside one 32-B line, but the
-    // address space changes after 0x1004: two runs, not one.
-    AsidRunEncoder encoder(32);
-    encoder.append(1, 0x1000, 1);
-    encoder.append(1, 0x1004, 1);
-    encoder.append(2, 0x1008, 1);
-    encoder.append(2, 0x100c, 1);
-    const AsidRunTrace trace = encoder.finish();
-    ASSERT_EQ(trace.runs.size(), 2u);
-    EXPECT_EQ(trace.instructions, 4u);
-    EXPECT_EQ(trace.runs[0].startVaddr, 0x1000u);
-    EXPECT_EQ(trace.runs[0].count, 2u);
-    EXPECT_EQ(trace.runs[0].asid, 1);
-    EXPECT_EQ(trace.runs[1].startVaddr, 0x1008u);
-    EXPECT_EQ(trace.runs[1].count, 2u);
-    EXPECT_EQ(trace.runs[1].asid, 2);
-}
-
-TEST(AsidRunEncoder, MatchesCompressRunsWithinOneAddressSpace)
-{
-    // Blocks spanning lines, jumps and a block continuing the
-    // previous one: the cut rule must equal compressRuns'.
-    const std::vector<std::pair<uint64_t, uint64_t>> blocks = {
-        {0x1000, 3}, {0x100c, 9}, {0x2000, 1}, {0x2ff8, 4},
-        {0x3004, 20}, {0x3054, 1}};
-    AsidRunEncoder encoder(32);
-    std::vector<uint64_t> flat;
-    for (const auto &[start, count] : blocks) {
-        encoder.append(7, start, count);
-        for (uint64_t k = 0; k < count; ++k)
-            flat.push_back(start + 4 * k);
-    }
-    const AsidRunTrace got = encoder.finish();
-    const RunTrace want = compressRuns(flat, 32);
-    EXPECT_EQ(got.instructions, want.instructions);
-    ASSERT_EQ(got.runs.size(), want.runs.size());
-    for (size_t r = 0; r < want.runs.size(); ++r) {
-        EXPECT_EQ(got.runs[r].startVaddr, want.runs[r].startVaddr);
-        EXPECT_EQ(got.runs[r].count, want.runs[r].count);
-        EXPECT_EQ(got.runs[r].asid, 7);
-    }
-}
-
 } // namespace
 } // namespace ibs

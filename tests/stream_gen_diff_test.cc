@@ -7,13 +7,14 @@
  *  - RunStream must emit the *exact* run sequence that
  *    materialize-then-compressRuns produces — same cuts, same
  *    counts — for instruction-only and data-enabled workloads, at
- *    every line size, including budgets that cut a run mid-flight;
+ *    every line size, including budgets that cut a run mid-flight,
+ *    and must also cut where the address space changes;
  *  - SuiteTraces replay must yield FetchStats bit-identical to a
  *    compressRuns(materialize(spec, n)) replay of the same suite
  *    across every fetch-path config class
  *    tests/fetch_batch_diff_test.cc covers, and the suite's run
- *    traces must expand back to exactly the model's instruction
- *    stream;
+ *    traces must expand back to exactly the model's (asid,
+ *    address) instruction stream;
  *  - the SIMD probe must preserve first-match semantics and the LRU
  *    stamp-clock behavior for hits in every way position, including
  *    ways beyond the first 4-wide compare block.
@@ -157,6 +158,101 @@ TEST(StreamGenDiff, BudgetCutsMidRunExactlyLikeTruncation)
         expectSameRuns(spec, n, 32);
 }
 
+/**
+ * A WorkloadModel that replays a scripted record stream. Its spec has
+ * data references on, so RunStream pulls it record by record through
+ * next(), and the cut rule can be tested on exact (asid, address)
+ * sequences.
+ */
+class ScriptedModel : public WorkloadModel
+{
+  public:
+    explicit ScriptedModel(std::vector<TraceRecord> records)
+        : WorkloadModel(dataSpec()), records_(std::move(records))
+    {
+    }
+
+    bool
+    next(TraceRecord &rec) override
+    {
+        if (pos_ == records_.size())
+            return false;
+        rec = records_[pos_++];
+        return true;
+    }
+
+  private:
+    static WorkloadSpec
+    dataSpec()
+    {
+        WorkloadSpec spec = makeSpec(SpecBenchmark::Espresso);
+        spec.data.enabled = true;
+        return spec;
+    }
+
+    std::vector<TraceRecord> records_;
+    size_t pos_ = 0;
+};
+
+/** Append `count` instruction fetches at start, start+4, ... by
+ *  `asid`. */
+void
+appendFetches(std::vector<TraceRecord> &records, Asid asid,
+              uint64_t start, uint64_t count)
+{
+    for (uint64_t k = 0; k < count; ++k) {
+        records.push_back(
+            {start + k * kInstrBytes, asid, RefKind::InstrFetch});
+    }
+}
+
+TEST(RunStream, AsidSwitchCutsContiguousRunInOneLine)
+{
+    // 0x1000..0x100c are +4-contiguous inside one 32-B line, but the
+    // address space changes after 0x1004: two runs, not one.
+    std::vector<TraceRecord> records;
+    appendFetches(records, 1, 0x1000, 2);
+    appendFetches(records, 2, 0x1008, 2);
+    ScriptedModel model(records);
+    const RunTrace trace = generateRunTrace(model, 32, 100);
+    ASSERT_EQ(trace.runs.size(), 2u);
+    EXPECT_EQ(trace.instructions, 4u);
+    EXPECT_EQ(trace.runs[0].startVaddr, 0x1000u);
+    EXPECT_EQ(trace.runs[0].count, 2u);
+    EXPECT_EQ(trace.runs[0].asid, 1);
+    EXPECT_EQ(trace.runs[1].startVaddr, 0x1008u);
+    EXPECT_EQ(trace.runs[1].count, 2u);
+    EXPECT_EQ(trace.runs[1].asid, 2);
+}
+
+TEST(RunStream, MatchesCompressRunsWithinOneAddressSpace)
+{
+    // Blocks spanning lines, jumps, a block continuing the previous
+    // one and data records between fetches: within one address space
+    // the cut rule must equal compressRuns'.
+    const std::vector<std::pair<uint64_t, uint64_t>> blocks = {
+        {0x1000, 3}, {0x100c, 9}, {0x2000, 1}, {0x2ff8, 4},
+        {0x3004, 20}, {0x3054, 1}};
+    std::vector<TraceRecord> records;
+    std::vector<uint64_t> flat;
+    for (const auto &[start, count] : blocks) {
+        appendFetches(records, 7, start, count);
+        records.push_back({0x40000000, 7, RefKind::DataRead});
+        for (uint64_t k = 0; k < count; ++k)
+            flat.push_back(start + k * kInstrBytes);
+    }
+    ScriptedModel model(records);
+    const RunTrace got = generateRunTrace(model, 32, flat.size());
+    const RunTrace want = compressRuns(flat, 32);
+    EXPECT_EQ(got.instructions, want.instructions);
+    ASSERT_EQ(got.runs.size(), want.runs.size());
+    for (size_t r = 0; r < want.runs.size(); ++r) {
+        EXPECT_EQ(got.runs[r].startVaddr, want.runs[r].startVaddr);
+        EXPECT_EQ(got.runs[r].count, want.runs[r].count);
+        EXPECT_EQ(got.runs[r].asid, 7);
+    }
+}
+
 TEST(StreamGenDiff, RunStreamRejectsBadLineSizes)
 {
     WorkloadModel model(makeIbs(IbsBenchmark::Gs, OsType::Mach));
@@ -193,9 +289,9 @@ TEST(StreamGenDiff, StreamingSuiteMatchesMaterializedAllClasses)
 TEST(StreamGenDiff, RunTracesExpandToTheModelStream)
 {
     // The run trace is the suite's only trace form: expanding its
-    // runs (startVaddr + 4k, k < count) at any line size must give
-    // back the model's instruction stream exactly — for a data-enabled
-    // spec too, whose data records the runs skip.
+    // runs ((asid, startVaddr + 4k), k < count) at any line size must
+    // give back the model's instruction stream exactly — for a
+    // data-enabled spec too, whose data records the runs skip.
     WorkloadSpec with_data = makeIbs(IbsBenchmark::Sdet, OsType::Mach);
     with_data.data.enabled = true;
     const std::vector<WorkloadSpec> specs = {
@@ -203,15 +299,22 @@ TEST(StreamGenDiff, RunTracesExpandToTheModelStream)
     constexpr uint64_t kInstr = 20000;
     const SuiteTraces suite(specs, kInstr);
     for (size_t w = 0; w < specs.size(); ++w) {
-        const std::vector<uint64_t> flat = materialize(specs[w], kInstr);
+        std::vector<std::pair<Asid, uint64_t>> flat;
+        WorkloadModel model(specs[w]);
+        TraceRecord rec;
+        while (flat.size() < kInstr && model.next(rec)) {
+            if (rec.isInstr())
+                flat.emplace_back(rec.asid, rec.vaddr);
+        }
         for (uint32_t line : {4u, 32u, 64u}) {
             const RunTrace &rt = suite.runTrace(w, line);
-            std::vector<uint64_t> expanded;
+            std::vector<std::pair<Asid, uint64_t>> expanded;
             expanded.reserve(rt.instructions);
             for (const FetchRun &run : rt.runs) {
                 for (uint32_t k = 0; k < run.count; ++k)
-                    expanded.push_back(run.startVaddr +
-                                       uint64_t{k} * kInstrBytes);
+                    expanded.emplace_back(
+                        run.asid,
+                        run.startVaddr + uint64_t{k} * kInstrBytes);
             }
             EXPECT_EQ(rt.instructions, kInstr);
             EXPECT_EQ(expanded, flat)

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/three_c.h"
+#include "materialize.h"
 #include "stats/rng.h"
 #include "trace/run_trace.h"
 

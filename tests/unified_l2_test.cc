@@ -82,7 +82,7 @@ TEST(UnifiedL2, PollutionNeverHelps)
         recs.push_back({pc, 1, RefKind::InstrFetch});
         pc = (pc + 4) % (16 * 1024);
         if (i % 3 == 0)
-            recs.push_back({0x30000000 + (i * 64) % (32 * 1024),
+            recs.push_back({0x30000000 + uint64_t(i * 64) % (32 * 1024),
                             1, RefKind::DataRead});
     }
     FetchConfig ionly = withOnChipL2(economyBaseline(), 8 * 1024,

@@ -9,7 +9,8 @@
  * have config, workload, stats and a timing object with wall_seconds
  * / instructions / instructions_per_second. Schema v2 additionally
  * requires the meta provenance block (string compiler/build_type,
- * numeric schema_version/threads/bench_instructions); the optional
+ * numeric schema_version/threads/bench_instructions, and a host
+ * object with string cpu_model and numeric nproc); the optional
  * "counters" object must be all-numeric when present in either
  * version. Any violation prints the file and reason and exits 1.
  * A leading --min-schema <n> raises the accepted schema floor — the
@@ -47,23 +48,24 @@
  *     line grammar, TYPE-before-samples, histogram bucket
  *     monotonicity and the mandatory le="+Inf" == _count.
  *
- *   --compare-rate <report> <prefix_a> <prefix_b> <min_ratio>
- *     Assert the rate counter of the first cell whose workload name
- *     starts with <prefix_a> is at least <min_ratio> times that of
- *     the <prefix_b> cell. The rate is stats.fetches_per_second,
- *     falling back to probes_per_second then items_per_second, so
- *     cells measuring something other than engine fetches (the SIMD
- *     tag-probe microbench) compare too. Prefix matching because
- *     google-benchmark appends "/min_time:..." to benchmark names.
- *     Used by scripts/check_bench_json.sh to bound the observability
- *     layer's disabled-mode overhead.
+ *   --min-stat <report> <prefix> <stat> <floor>
+ *     Assert stats.<stat> of the first cell whose workload name
+ *     starts with <prefix> is at least <floor>. Prefix matching
+ *     because google-benchmark appends "/iterations:..." and similar
+ *     suffixes to benchmark names. Used by scripts/check_bench_json.sh
+ *     to gate the observability layer's overhead on the paired
+ *     median_ratio of the BM_ObsOverhead cells.
  *
  *   --compare-rate-warn <report> <prefix_a> <prefix_b> <min_ratio>
- *     As --compare-rate, but a ratio below the floor only prints a
- *     WARN line and exits 0; malformed reports or missing cells
- *     still exit 1. For throughput expectations that are meaningful
- *     on a quiet Release build but too noisy to gate CI on (the
- *     batched-vs-scalar fetch-path speedup).
+ *     Compare the rate counter of the first cell whose workload name
+ *     starts with <prefix_a> with that of the <prefix_b> cell. The
+ *     rate is stats.fetches_per_second, falling back to
+ *     probes_per_second then items_per_second. A ratio below
+ *     <min_ratio> only prints a WARN line and exits 0; malformed
+ *     reports or missing cells exit 1. For throughput expectations
+ *     that are meaningful on a quiet Release build but too noisy to
+ *     gate CI on (the batched-vs-scalar fetch-path speedup): two
+ *     separately timed cells race each other.
  *
  * Used by scripts/check_bench_json.sh and scripts/check_obs_trace.sh
  * (wired in as ctests) and handy interactively:
@@ -164,6 +166,17 @@ validateCell(const Json &cell, size_t index, const std::string &path)
                       where + ".timing");
 }
 
+/** meta.host: which machine produced the report. */
+bool
+requireHost(const Json &meta, const std::string &path)
+{
+    const Json *host = meta.find("host");
+    if (!host || !host->isObject())
+        return fail(path, "meta: missing object \"host\"");
+    return requireString(*host, "cpu_model", path, "meta.host") &&
+        requireNumber(*host, "nproc", path, "meta.host");
+}
+
 /** The schema-v2 provenance block (src/sim/bench_report.h). */
 bool
 validateMeta(const Json &doc, const std::string &path)
@@ -175,7 +188,8 @@ validateMeta(const Json &doc, const std::string &path)
         requireString(*meta, "build_type", path, "meta") &&
         requireNumber(*meta, "schema_version", path, "meta") &&
         requireNumber(*meta, "threads", path, "meta") &&
-        requireNumber(*meta, "bench_instructions", path, "meta");
+        requireNumber(*meta, "bench_instructions", path, "meta") &&
+        requireHost(*meta, path);
 }
 
 /** Optional obs::Registry snapshot: flat object, numeric values. */
@@ -398,12 +412,12 @@ validatePromFile(const std::string &path)
     return true;
 }
 
-/** Rate counter (fetches_per_second, else probes_per_second, else
- *  items_per_second) of the first cell whose workload starts with
- *  `prefix`; negative when absent. */
+/** Numeric stat of the first cell whose workload starts with
+ *  `prefix`: the first of `names` the cell's stats carry; negative
+ *  (after a message) when there is no such cell or stat. */
 double
-findRate(const Json &doc, const std::string &prefix,
-         const std::string &path)
+findStat(const Json &doc, const std::string &prefix,
+         const std::vector<std::string> &names, const std::string &path)
 {
     const Json *cells = doc.find("cells");
     if (!cells || !cells->isArray()) {
@@ -417,32 +431,37 @@ findRate(const Json &doc, const std::string &prefix,
             workload->asString().rfind(prefix, 0) != 0)
             continue;
         const Json *stats = cell.find("stats");
-        const Json *rate = nullptr;
         if (stats && stats->isObject()) {
-            for (const char *name :
-                 {"fetches_per_second", "probes_per_second",
-                  "items_per_second"}) {
-                rate = stats->find(name);
-                if (rate && rate->isNumber())
-                    break;
+            for (const std::string &name : names) {
+                const Json *v = stats->find(name);
+                if (v && v->isNumber())
+                    return v->asNumber();
             }
         }
-        if (!rate || !rate->isNumber()) {
-            fail(path, "cell \"" + workload->asString() +
-                           "\" has no numeric rate counter "
-                           "(fetches/probes/items_per_second)");
-            return -1.0;
-        }
-        return rate->asNumber();
+        fail(path, "cell \"" + workload->asString() +
+                       "\" has no numeric " + names.front());
+        return -1.0;
     }
     fail(path, "no cell with workload prefix \"" + prefix + "\"");
     return -1.0;
 }
 
+/** Rate counter (fetches_per_second, else probes_per_second, else
+ *  items_per_second) of the first cell whose workload starts with
+ *  `prefix`; negative when absent. */
+double
+findRate(const Json &doc, const std::string &prefix,
+         const std::string &path)
+{
+    return findStat(doc, prefix,
+                    {"fetches_per_second", "probes_per_second",
+                     "items_per_second"},
+                    path);
+}
+
 int
-compareRate(const std::string &path, const std::string &prefix_a,
-            const std::string &prefix_b, double min_ratio,
-            bool warn_only)
+compareRateWarn(const std::string &path, const std::string &prefix_a,
+                const std::string &prefix_b, double min_ratio)
 {
     Json doc;
     if (!loadJson(path, doc) || !doc.isObject())
@@ -461,15 +480,29 @@ compareRate(const std::string &path, const std::string &prefix_a,
                 path.c_str(), prefix_a.c_str(), rate_a,
                 prefix_b.c_str(), rate_b, ratio, min_ratio);
     if (ratio < min_ratio) {
-        if (warn_only) {
-            std::fprintf(stderr,
-                         "%s: WARN: rate ratio %.3f below floor %.3f "
-                         "(not failing: --compare-rate-warn)\n",
-                         path.c_str(), ratio, min_ratio);
-            return 0;
-        }
-        fail(path, "rate ratio " + std::to_string(ratio) +
-                       " below floor " + std::to_string(min_ratio));
+        std::fprintf(stderr,
+                     "%s: WARN: rate ratio %.3f below floor %.3f "
+                     "(not failing: --compare-rate-warn)\n",
+                     path.c_str(), ratio, min_ratio);
+    }
+    return 0;
+}
+
+int
+minStat(const std::string &path, const std::string &prefix,
+        const std::string &stat, double floor)
+{
+    Json doc;
+    if (!loadJson(path, doc) || !doc.isObject())
+        return 1;
+    const double value = findStat(doc, prefix, {stat}, path);
+    if (value < 0.0)
+        return 1;
+    std::printf("%s: %s %s = %.3f (floor %.3f)\n", path.c_str(),
+                prefix.c_str(), stat.c_str(), value, floor);
+    if (value < floor) {
+        fail(path, prefix + " " + stat + " " + std::to_string(value) +
+                       " below floor " + std::to_string(floor));
         return 1;
     }
     return 0;
@@ -487,8 +520,8 @@ usage(const char *argv0)
                  "       %s --trace-spans <trace.json> <name> "
                  "[more names...]\n"
                  "       %s --prom <metrics.txt> [more.txt...]\n"
-                 "       %s --compare-rate <report.json> <prefix_a> "
-                 "<prefix_b> <min_ratio>\n"
+                 "       %s --min-stat <report.json> <prefix> <stat> "
+                 "<floor>\n"
                  "       %s --compare-rate-warn <report.json> "
                  "<prefix_a> <prefix_b> <min_ratio>\n",
                  argv0, argv0, argv0, argv0, argv0, argv0, argv0);
@@ -543,17 +576,16 @@ main(int argc, char **argv)
         return ok ? 0 : 1;
     }
 
-    const bool warn_only =
-        std::strcmp(argv[1], "--compare-rate-warn") == 0;
-    if (std::strcmp(argv[1], "--compare-rate") == 0 || warn_only) {
+    const bool compare = std::strcmp(argv[1], "--compare-rate-warn") == 0;
+    if (compare || std::strcmp(argv[1], "--min-stat") == 0) {
         if (argc != 6)
             return usage(argv[0]);
         char *end = nullptr;
-        const double min_ratio = std::strtod(argv[5], &end);
+        const double floor = std::strtod(argv[5], &end);
         if (end == argv[5] || *end != '\0')
             return usage(argv[0]);
-        return compareRate(argv[2], argv[3], argv[4], min_ratio,
-                           warn_only);
+        return compare ? compareRateWarn(argv[2], argv[3], argv[4], floor)
+                       : minStat(argv[2], argv[3], argv[4], floor);
     }
 
     int first = 1;
