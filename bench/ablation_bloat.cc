@@ -15,46 +15,22 @@
 
 #include <iostream>
 
-#include "cache/cache.h"
 #include "sim/bench_report.h"
+#include "sim/cells.h"
 #include "sim/runner.h"
 #include "stats/table.h"
 #include "workload/ibs.h"
-#include "workload/model.h"
 
 namespace {
 
 using namespace ibs;
 
-BenchReport g_report("ablation_bloat");
-
-double
-mpiOf(const WorkloadSpec &spec, uint64_t n,
-      const std::string &grid)
+/** One 8-KB DM / 32-B L1 MPI cell of the bench. */
+struct MpiCell
 {
-    WallTimer cell_timer;
-    WorkloadModel model(spec);
-    Cache cache(CacheConfig{8 * 1024, 1, 32, Replacement::LRU});
-    TraceRecord rec;
-    uint64_t instrs = 0, misses = 0;
-    while (instrs < n && model.next(rec)) {
-        if (!rec.isInstr())
-            continue;
-        ++instrs;
-        if (!cache.access(rec.vaddr))
-            ++misses;
-    }
-    const double mpi = 100.0 * static_cast<double>(misses) /
-        static_cast<double>(instrs);
-    const Json stats = Json::object()
-        .set("instructions", Json::number(instrs))
-        .set("l1_misses", Json::number(misses))
-        .set("mpi100", Json::number(mpi));
-    g_report.addCell(spec.name + " (" + osName(spec.os) + ")",
-                     Json::object(), stats, cell_timer.seconds(),
-                     instrs, grid);
-    return mpi;
-}
+    WorkloadSpec spec;
+    std::string grid;
+};
 
 WorkloadSpec
 userOnly(WorkloadSpec spec)
@@ -73,15 +49,55 @@ int
 main()
 {
     using namespace ibs;
+    BenchReport report("ablation_bloat");
     const uint64_t n = benchInstructions();
+
+    // Every cell, in the order the tables below consume them.
+    const IbsBenchmark emulated[] = {IbsBenchmark::Gcc, IbsBenchmark::Gs,
+                                     IbsBenchmark::Verilog};
+    std::vector<MpiCell> specs = {
+        {makeIbs(IbsBenchmark::Nroff, OsType::Mach), "rewrite"},
+        {makeIbs(IbsBenchmark::Groff, OsType::Mach), "rewrite"},
+        {userOnly(makeSpec(SpecBenchmark::Gcc)), "features"},
+        {userOnly(makeIbs(IbsBenchmark::Gcc, OsType::Ultrix)),
+         "features"},
+    };
+    for (IbsBenchmark b : allIbsBenchmarks()) {
+        specs.push_back({makeIbs(b, OsType::Ultrix), "os_structure"});
+        specs.push_back({makeIbs(b, OsType::Mach), "os_structure"});
+    }
+    for (IbsBenchmark b : emulated) {
+        specs.push_back(
+            {userOnly(makeIbs(b, OsType::Ultrix)), "api_emulation"});
+        specs.push_back(
+            {userOnly(makeIbs(b, OsType::Mach)), "api_emulation"});
+    }
+    const auto cells = runCells(
+        specs.size(),
+        [&](size_t i) { return "l1_mpi " + specs[i].spec.name; },
+        [&](size_t i) {
+            return countL1Misses(
+                specs[i].spec,
+                CacheConfig{8 * 1024, 1, 32, Replacement::LRU}, n);
+        });
+
+    // Report cell `c` and return its MPI; consumes cells in order.
+    size_t c = 0;
+    auto mpiOf = [&] {
+        const WorkloadSpec &spec = specs[c].spec;
+        const L1Count &count = cells[c].result;
+        report.addCell(spec.name + " (" + osName(spec.os) + ")",
+                       Json::object(), toJson(count), cells[c].seconds,
+                       count.instructions, specs[c].grid);
+        ++c;
+        return count.mpi100();
+    };
 
     TextTable t1("Bloat source: object-oriented rewrite "
                  "(maintainability)");
     t1.setHeader({"workload", "MPI", "ratio"});
-    const double nroff = mpiOf(
-        makeIbs(IbsBenchmark::Nroff, OsType::Mach), n, "rewrite");
-    const double groff = mpiOf(
-        makeIbs(IbsBenchmark::Groff, OsType::Mach), n, "rewrite");
+    const double nroff = mpiOf();
+    const double groff = mpiOf();
     t1.addRow({"nroff (C)", TextTable::num(nroff, 2), "1.00"});
     t1.addRow({"groff (C++)", TextTable::num(groff, 2),
                TextTable::num(groff / nroff, 2)});
@@ -90,11 +106,8 @@ main()
 
     TextTable t2("Bloat source: feature growth (functionality)");
     t2.setHeader({"workload", "MPI", "ratio"});
-    const double gcc_spec = mpiOf(
-        userOnly(makeSpec(SpecBenchmark::Gcc)), n, "features");
-    const double gcc_ibs = mpiOf(
-        userOnly(makeIbs(IbsBenchmark::Gcc, OsType::Ultrix)), n,
-        "features");
+    const double gcc_spec = mpiOf();
+    const double gcc_ibs = mpiOf();
     t2.addRow({"gcc 1.35 (SPEC)", TextTable::num(gcc_spec, 2),
                "1.00"});
     t2.addRow({"gcc 2.6 (IBS)", TextTable::num(gcc_ibs, 2),
@@ -107,10 +120,8 @@ main()
     t3.setHeader({"workload", "Ultrix MPI", "Mach MPI", "ratio"});
     double mach_sum = 0, ultrix_sum = 0;
     for (IbsBenchmark b : allIbsBenchmarks()) {
-        const double u =
-            mpiOf(makeIbs(b, OsType::Ultrix), n, "os_structure");
-        const double m =
-            mpiOf(makeIbs(b, OsType::Mach), n, "os_structure");
+        const double u = mpiOf();
+        const double m = mpiOf();
         mach_sum += m;
         ultrix_sum += u;
         t3.addRow({benchmarkName(b), TextTable::num(u, 2),
@@ -128,12 +139,9 @@ main()
                  "task alone");
     t4.setHeader({"workload", "Ultrix build", "Mach build (+emul "
                   "lib)", "ratio"});
-    for (IbsBenchmark b : {IbsBenchmark::Gcc, IbsBenchmark::Gs,
-                           IbsBenchmark::Verilog}) {
-        const double u = mpiOf(
-            userOnly(makeIbs(b, OsType::Ultrix)), n, "api_emulation");
-        const double m = mpiOf(
-            userOnly(makeIbs(b, OsType::Mach)), n, "api_emulation");
+    for (IbsBenchmark b : emulated) {
+        const double u = mpiOf();
+        const double m = mpiOf();
         t4.addRow({benchmarkName(b), TextTable::num(u, 2),
                    TextTable::num(m, 2), TextTable::num(m / u, 2)});
     }
@@ -141,8 +149,7 @@ main()
               << "paper: part of the Mach/Ultrix gap is the "
                  "emulation library linked into each task.\n";
 
-    g_report.meta().set("instructions_per_workload",
-                        Json::number(n));
-    g_report.write();
+    report.meta().set("instructions_per_workload", Json::number(n));
+    report.write();
     return 0;
 }

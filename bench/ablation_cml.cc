@@ -17,6 +17,7 @@
 
 #include "cache/cache.h"
 #include "sim/bench_report.h"
+#include "sim/cells.h"
 #include "sim/cml_sim.h"
 #include "sim/runner.h"
 #include "sim/tapeworm.h"
@@ -36,29 +37,53 @@ main()
                      "DM+CML (incl. remap)", "recolors",
                      "2-way CPIinstr"});
 
+    const uint64_t sizes_kb[] = {16, 32, 64};
+    std::vector<WorkloadSpec> specs;
     for (IbsBenchmark b : {IbsBenchmark::Verilog, IbsBenchmark::Gs,
-                           IbsBenchmark::Gcc}) {
-        const WorkloadSpec spec = makeIbs(b, OsType::Mach);
-        for (uint64_t kb : {16u, 32u, 64u}) {
-            CmlExperiment experiment;
-            experiment.cache =
-                CacheConfig{kb * 1024, 1, 32, Replacement::LRU};
-            experiment.instructions = n;
-            WallTimer cell_timer;
-            const CmlResult r = runCml(spec, experiment);
+                           IbsBenchmark::Gcc})
+        specs.push_back(makeIbs(b, OsType::Mach));
 
-            // The 2-way reference point via a one-trial Tapeworm run
-            // with the same instruction budget.
-            TapewormConfig tw;
-            tw.cache = CacheConfig{kb * 1024, 2, 32,
-                                   Replacement::LRU};
-            tw.trials = 1;
-            tw.instructions = n;
-            const TapewormResult assoc = runTapeworm(spec, tw);
+    // Cells: one CML experiment per (workload, size).
+    auto experiment = [&](size_t i) {
+        CmlExperiment e;
+        e.cache = CacheConfig{sizes_kb[i % 3] * 1024, 1, 32,
+                              Replacement::LRU};
+        e.instructions = n;
+        return e;
+    };
+    const auto cells = runCells(
+        specs.size() * 3,
+        [&](size_t i) {
+            return "cml " + specs[i / 3].name + " " +
+                std::to_string(sizes_kb[i % 3]) + "KB";
+        },
+        [&](size_t i) { return runCml(specs[i / 3], experiment(i)); });
 
+    // The 2-way reference points: one-trial Tapeworm runs with the
+    // same instruction budget, one grid per workload.
+    std::vector<TapewormConfig> references;
+    for (uint64_t kb : sizes_kb) {
+        TapewormConfig tw;
+        tw.cache = CacheConfig{kb * 1024, 2, 32, Replacement::LRU};
+        tw.trials = 1;
+        tw.instructions = n;
+        references.push_back(tw);
+    }
+
+    for (size_t w = 0; w < specs.size(); ++w) {
+        const WorkloadSpec &spec = specs[w];
+        WallTimer grid_timer;
+        const std::vector<TapewormResult> assoc =
+            runTapewormGrid(spec, references);
+        const double grid_share =
+            grid_timer.seconds() / static_cast<double>(references.size());
+        for (size_t k = 0; k < references.size(); ++k) {
+            const size_t i = w * 3 + k;
+            const CmlResult &r = cells[i].result;
+            const uint64_t kb = sizes_kb[k];
             const Json config_json = Json::object()
-                .set("cache", toJson(experiment.cache))
-                .set("assoc_reference", toJson(tw.cache));
+                .set("cache", toJson(experiment(i).cache))
+                .set("assoc_reference", toJson(references[k].cache));
             const Json stats = Json::object()
                 .set("cpi_baseline_dm",
                      Json::number(r.cpiBaseline))
@@ -67,9 +92,9 @@ main()
                      Json::number(r.cpiRecolorOverhead))
                 .set("recolors", Json::number(r.recolors))
                 .set("cpi_2way",
-                     Json::number(assoc.cpiInstr.mean()));
+                     Json::number(assoc[k].cpiInstr.mean()));
             report.addCell(spec.name, config_json, stats,
-                           cell_timer.seconds(), 2 * n, "cml",
+                           cells[i].seconds + grid_share, 2 * n, "cml",
                            std::to_string(kb) + "KB");
 
             table.addRow({
@@ -78,7 +103,7 @@ main()
                 TextTable::num(r.cpiWithCml) + " (+" +
                     TextTable::num(r.cpiRecolorOverhead) + ")",
                 TextTable::num(r.recolors),
-                TextTable::num(assoc.cpiInstr.mean()),
+                TextTable::num(assoc[k].cpiInstr.mean()),
             });
         }
     }

@@ -19,19 +19,16 @@
 
 #include <iostream>
 
-#include "cache/cache.h"
 #include "sim/bench_report.h"
+#include "sim/cells.h"
 #include "sim/runner.h"
 #include "sim/tapeworm.h"
 #include "stats/table.h"
 #include "workload/ibs.h"
-#include "workload/model.h"
 
 namespace {
 
 using namespace ibs;
-
-BenchReport g_report("ablation_placement");
 
 WorkloadSpec
 profilePlaced(WorkloadSpec spec)
@@ -44,33 +41,6 @@ profilePlaced(WorkloadSpec spec)
     return spec;
 }
 
-double
-mpiOf(const WorkloadSpec &spec, uint64_t n)
-{
-    WallTimer cell_timer;
-    WorkloadModel model(spec);
-    Cache cache(CacheConfig{8 * 1024, 1, 32, Replacement::LRU});
-    TraceRecord rec;
-    uint64_t instrs = 0, misses = 0;
-    while (instrs < n && model.next(rec)) {
-        if (!rec.isInstr())
-            continue;
-        ++instrs;
-        if (!cache.access(rec.vaddr))
-            ++misses;
-    }
-    const double mpi = 100.0 * static_cast<double>(misses) /
-        static_cast<double>(instrs);
-    const Json stats = Json::object()
-        .set("instructions", Json::number(instrs))
-        .set("l1_misses", Json::number(misses))
-        .set("mpi100", Json::number(mpi));
-    g_report.addCell(spec.name, Json::object(), stats,
-                     cell_timer.seconds(), instrs,
-                     "procedure_placement");
-    return mpi;
-}
-
 } // namespace
 
 int
@@ -78,16 +48,41 @@ main()
 {
     using namespace ibs;
 
+    BenchReport report("ablation_placement");
     const uint64_t n = benchInstructions();
+
+    // Cells: each IBS (Mach) workload in its natural layout, then
+    // profile-placed.
+    std::vector<WorkloadSpec> specs;
+    for (IbsBenchmark b : allIbsBenchmarks()) {
+        specs.push_back(makeIbs(b, OsType::Mach));
+        specs.push_back(profilePlaced(specs.back()));
+    }
+    const auto cells = runCells(
+        specs.size(),
+        [&](size_t i) { return "l1_mpi " + specs[i].name; },
+        [&](size_t i) {
+            return countL1Misses(
+                specs[i], CacheConfig{8 * 1024, 1, 32, Replacement::LRU},
+                n);
+        });
+    auto mpiOf = [&](size_t i) {
+        const L1Count &count = cells[i].result;
+        report.addCell(specs[i].name, Json::object(), toJson(count),
+                       cells[i].seconds, count.instructions,
+                       "procedure_placement");
+        return count.mpi100();
+    };
+
     TextTable table("Ablation: profile-guided procedure placement "
                     "(8KB DM, 32B lines)");
     table.setHeader({"workload", "natural MPI", "profile-placed MPI",
                      "recovered"});
     double nat_sum = 0, placed_sum = 0;
+    size_t c = 0;
     for (IbsBenchmark b : allIbsBenchmarks()) {
-        const WorkloadSpec spec = makeIbs(b, OsType::Mach);
-        const double nat = mpiOf(spec, n);
-        const double placed = mpiOf(profilePlaced(spec), n);
+        const double nat = mpiOf(c++);
+        const double placed = mpiOf(c++);
         nat_sum += nat;
         placed_sum += placed;
         table.addRow({benchmarkName(b), TextTable::num(nat, 2),
@@ -103,31 +98,41 @@ main()
     std::cout << table.render() << "\n";
 
     // Complementary OS-level remedy: page placement policies in a
-    // physically-indexed 32-KB cache.
+    // physically-indexed 32-KB cache, one Tapeworm grid per workload
+    // (the three policies share one generated trace).
     TextTable os_table("OS page placement (32KB DM physically-"
                        "indexed, CPIinstr mean over 3 trials)");
     os_table.setHeader({"workload", "random", "bin-hopping",
                         "page-coloring"});
+    std::vector<TapewormConfig> configs;
+    for (PagePolicy policy : {PagePolicy::Random, PagePolicy::BinHopping,
+                              PagePolicy::PageColoring}) {
+        TapewormConfig config;
+        config.cache = CacheConfig{32 * 1024, 1, 32, Replacement::LRU};
+        config.policy = policy;
+        config.trials = 3;
+        config.instructions = n / 2;
+        configs.push_back(config);
+    }
     for (IbsBenchmark b : {IbsBenchmark::Verilog, IbsBenchmark::Gs}) {
+        WallTimer grid_timer;
+        const std::vector<TapewormResult> results =
+            runTapewormGrid(makeIbs(b, OsType::Mach), configs);
+        // Each point is charged an equal share of the grid's wall
+        // time.
+        const double cell_seconds =
+            grid_timer.seconds() / static_cast<double>(configs.size());
         std::vector<std::string> row = {benchmarkName(b)};
-        for (PagePolicy policy : {PagePolicy::Random,
-                                  PagePolicy::BinHopping,
-                                  PagePolicy::PageColoring}) {
-            TapewormConfig config;
-            config.cache = CacheConfig{32 * 1024, 1, 32,
-                                       Replacement::LRU};
-            config.policy = policy;
-            config.trials = 3;
-            config.instructions = n / 2;
-            WallTimer cell_timer;
-            const TapewormResult r =
-                runTapeworm(makeIbs(b, OsType::Mach), config);
+        for (size_t p = 0; p < configs.size(); ++p) {
+            const TapewormConfig &config = configs[p];
+            const TapewormResult &r = results[p];
             row.push_back(TextTable::num(r.cpiInstr.mean()));
 
             const char *policy_name =
-                policy == PagePolicy::Random ? "random"
-                : policy == PagePolicy::BinHopping ? "bin_hopping"
-                                                   : "page_coloring";
+                config.policy == PagePolicy::Random ? "random"
+                : config.policy == PagePolicy::BinHopping
+                    ? "bin_hopping"
+                    : "page_coloring";
             const Json config_json = Json::object()
                 .set("cache", toJson(config.cache))
                 .set("policy", Json::string(policy_name))
@@ -138,10 +143,10 @@ main()
                      Json::number(r.cpiInstr.mean()))
                 .set("cpi_instr_stddev",
                      Json::number(r.cpiInstr.stddev()));
-            g_report.addCell(benchmarkName(b), config_json, stats,
-                             cell_timer.seconds(),
-                             config.instructions * config.trials,
-                             "page_placement", policy_name);
+            report.addCell(benchmarkName(b), config_json, stats,
+                           cell_seconds,
+                           config.instructions * config.trials,
+                           "page_placement", policy_name);
         }
         os_table.addRow(row);
     }
@@ -152,8 +157,7 @@ main()
                  "beats random mapping in physically-indexed "
                  "caches.\n";
 
-    g_report.meta().set("instructions_per_workload",
-                        Json::number(n));
-    g_report.write();
+    report.meta().set("instructions_per_workload", Json::number(n));
+    report.write();
     return 0;
 }

@@ -14,13 +14,12 @@
  */
 
 #include <iostream>
+#include <span>
 
 #include "obs/registry.h"
-#include "obs/timer.h"
 #include "sim/bench_report.h"
-#include "sim/parallel.h"
+#include "sim/cells.h"
 #include "sim/runner.h"
-#include "sim/sweep.h"
 #include "sim/tlb_fanout.h"
 #include "stats/table.h"
 #include "workload/ibs.h"
@@ -43,7 +42,6 @@ struct Pass
 {
     uint64_t instructions = 0;
     std::vector<StackCounts> counts; ///< Per geometry, sweep order.
-    double seconds = 0.0;            ///< Wall time of the whole pass.
 };
 
 Json
@@ -60,7 +58,6 @@ runPass(WorkloadSpec spec, const std::vector<Geometry> &geometries,
         uint64_t n)
 {
     spec.data.enabled = true;
-    obs::ScopedTimer timer("tlb.pass " + spec.name);
     std::vector<TlbConfig> configs;
     for (const Geometry &g : geometries)
         configs.push_back(g.config);
@@ -74,17 +71,15 @@ runPass(WorkloadSpec spec, const std::vector<Geometry> &geometries,
         fanout.access(rec.asid, rec.vaddr);
     }
     pass.counts = fanout.counts();
-    timer.stop();
-    pass.seconds = timer.seconds();
     return pass;
 }
 
 /** Misses per 100 instructions of geometry `g` over `passes`. */
 double
-suiteMpi(const std::vector<Pass> &passes, size_t g)
+suiteMpi(std::span<const Cell<Pass>> passes, size_t g)
 {
     uint64_t misses = 0, instrs = 0;
-    for (const Pass &pass : passes) {
+    for (const auto &[pass, seconds] : passes) {
         misses += pass.counts[g].misses;
         instrs += pass.instructions;
     }
@@ -96,12 +91,12 @@ suiteMpi(const std::vector<Pass> &passes, size_t g)
  *  per-geometry counters of one suite. */
 void
 reportSuite(BenchReport &report, const std::vector<WorkloadSpec> &suite,
-            const std::vector<Pass> &passes, size_t g,
+            std::span<const Cell<Pass>> passes, size_t g,
             const std::vector<Geometry> &geometries,
             const std::string &grid)
 {
     for (size_t w = 0; w < suite.size(); ++w) {
-        const Pass &pass = passes[w];
+        const Pass &pass = passes[w].result;
         const uint64_t misses = pass.counts[g].misses;
         const Json stats = Json::object()
             .set("instructions", Json::number(pass.instructions))
@@ -118,7 +113,7 @@ reportSuite(BenchReport &report, const std::vector<WorkloadSpec> &suite,
         report.addCell(suite[w].name,
                        tlbConfigJson(geometries[g].config),
                        stats,
-                       pass.seconds /
+                       passes[w].seconds /
                            static_cast<double>(geometries.size()),
                        pass.instructions, grid);
         if (obs::Registry::global().enabled()) {
@@ -154,19 +149,17 @@ main()
         }
     }
 
-    // One pass per workload of both suites, on the pool; each task
-    // writes only its own slot.
-    std::vector<Pass> spec_passes(spec_suite.size());
-    std::vector<Pass> ibs_passes(ibs_suite.size());
-    parallelFor(spec_suite.size() + ibs_suite.size(), sweepThreads(),
-                [&](size_t i) {
-        if (i < spec_suite.size()) {
-            spec_passes[i] = runPass(spec_suite[i], geometries, n);
-        } else {
-            const size_t w = i - spec_suite.size();
-            ibs_passes[w] = runPass(ibs_suite[w], geometries, n);
-        }
-    });
+    // One pass per workload of both suites, SPEC first.
+    std::vector<WorkloadSpec> specs = spec_suite;
+    specs.insert(specs.end(), ibs_suite.begin(), ibs_suite.end());
+    const auto passes = runCells(
+        specs.size(),
+        [&](size_t i) { return "tlb.pass " + specs[i].name; },
+        [&](size_t i) { return runPass(specs[i], geometries, n); });
+    const std::span<const Cell<Pass>> spec_passes(passes.data(),
+                                                  spec_suite.size());
+    const std::span<const Cell<Pass>> ibs_passes(
+        passes.data() + spec_suite.size(), ibs_suite.size());
 
     TextTable table("Ablation: TLB misses per 100 instructions "
                     "(I+D references)");

@@ -13,31 +13,11 @@
 #include "core/fetch_config.h"
 #include "core/fetch_engine.h"
 #include "sim/bench_report.h"
+#include "sim/cells.h"
 #include "sim/runner.h"
 #include "stats/table.h"
 #include "workload/ibs.h"
 #include "workload/model.h"
-
-namespace {
-
-using namespace ibs;
-
-FetchStats
-runWithData(const WorkloadSpec &base_spec, const FetchConfig &config,
-            uint64_t n, BenchReport &report, const std::string &grid)
-{
-    WorkloadSpec spec = base_spec;
-    spec.data.enabled = true;
-    WallTimer cell_timer;
-    WorkloadModel model(spec);
-    FetchEngine engine(config);
-    const FetchStats stats = engine.run(model, n);
-    report.addCell(base_spec.name, toJson(config), toJson(stats),
-                   cell_timer.seconds(), stats.instructions, grid);
-    return stats;
-}
-
-} // namespace
 
 int
 main()
@@ -58,17 +38,40 @@ main()
     FetchConfig unified = ionly;
     unified.l2Unified = true;
 
-    double i_sum = 0, u_sum = 0;
+    // Cells: each IBS (Mach) workload with data references, under
+    // the instruction-only L2 and then the unified one.
+    std::vector<WorkloadSpec> specs;
     for (IbsBenchmark b : allIbsBenchmarks()) {
-        const WorkloadSpec spec = makeIbs(b, OsType::Mach);
-        const FetchStats si =
-            runWithData(spec, ionly, n, report, "instruction_only");
-        const FetchStats su =
-            runWithData(spec, unified, n, report, "unified");
+        specs.push_back(makeIbs(b, OsType::Mach));
+        specs.back().data.enabled = true;
+    }
+    auto configOf = [&](size_t i) { return i % 2 ? unified : ionly; };
+    auto gridOf = [](size_t i) {
+        return i % 2 ? "unified" : "instruction_only";
+    };
+    const auto cells = runCells(
+        specs.size() * 2,
+        [&](size_t i) {
+            return std::string(gridOf(i)) + " " + specs[i / 2].name;
+        },
+        [&](size_t i) {
+            WorkloadModel model(specs[i / 2]);
+            return FetchEngine(configOf(i)).run(model, n);
+        });
+    for (size_t i = 0; i < cells.size(); ++i) {
+        report.addCell(specs[i / 2].name, toJson(configOf(i)),
+                       toJson(cells[i].result), cells[i].seconds,
+                       cells[i].result.instructions, gridOf(i));
+    }
+
+    double i_sum = 0, u_sum = 0;
+    for (size_t w = 0; w < specs.size(); ++w) {
+        const FetchStats &si = cells[2 * w].result;
+        const FetchStats &su = cells[2 * w + 1].result;
         i_sum += si.cpiInstr();
         u_sum += su.cpiInstr();
         table.addRow({
-            benchmarkName(b),
+            benchmarkName(allIbsBenchmarks()[w]),
             TextTable::num(si.cpiInstr()),
             TextTable::num(su.cpiInstr()),
             TextTable::num(si.l2MissRatio()),

@@ -16,15 +16,36 @@
  */
 
 #include <iostream>
+#include <iterator>
 
 #include "cache/cache.h"
 #include "cache/victim.h"
 #include "obs/registry.h"
-#include "obs/timer.h"
 #include "sim/bench_report.h"
+#include "sim/cells.h"
 #include "sim/runner.h"
 #include "stats/table.h"
 #include "workload/ibs.h"
+
+namespace {
+
+using namespace ibs;
+
+/** One design of the comparison, in table order. */
+struct Design
+{
+    uint32_t assoc;       ///< Ways of the 8-KB L1.
+    uint32_t victimLines; ///< Victim-buffer lines; 0 for none.
+};
+
+/** Misses and victim swaps of one (design, workload) cell. */
+struct Counts
+{
+    uint64_t misses = 0;
+    uint64_t swaps = 0;
+};
+
+} // namespace
 
 int
 main()
@@ -34,96 +55,105 @@ main()
     BenchReport report("ablation_victim");
     const uint64_t n = benchInstructions();
     SuiteTraces suite(ibsSuite(OsType::Mach), n);
+    const size_t workloads = suite.count();
 
-    TextTable table("Ablation: conflict-miss remedies at 8KB "
-                    "(IBS avg, 32B lines)");
-    table.setHeader({"design", "MPI*100", "victim swaps per 100"});
-
-    auto plain = [&](uint32_t assoc) {
-        uint64_t misses = 0, instrs = 0;
-        const CacheConfig cfg{8 * 1024, assoc, 32, Replacement::LRU};
-        const std::string label =
-            std::to_string(assoc) + "way";
-        for (size_t i = 0; i < suite.count(); ++i) {
-            obs::ScopedTimer cell_timer("plain " + label + " " +
-                                        suite.name(i));
-            const RunTrace &runs = suite.runTrace(i, 32);
-            Cache cache(cfg);
-            for (const FetchRun &run : runs.runs)
-                cache.accessRunFill(run.startVaddr, run.count);
-            cell_timer.stop();
-            const uint64_t w_misses = cache.misses();
-            const uint64_t w_instrs = runs.instructions;
-            const Json stats = Json::object()
-                .set("instructions", Json::number(w_instrs))
-                .set("l1_misses", Json::number(w_misses))
-                .set("mpi100",
-                     Json::number(100.0 *
-                                  static_cast<double>(w_misses) /
-                                  static_cast<double>(w_instrs)));
-            report.addCell(suite.name(i), toJson(cfg), stats,
-                           cell_timer.seconds(), w_instrs, "plain",
-                           label);
-            misses += w_misses;
-            instrs += w_instrs;
-        }
-        return 100.0 * static_cast<double>(misses) /
-            static_cast<double>(instrs);
+    const Design designs[] = {{1, 0}, {1, 1}, {1, 2}, {1, 4},
+                              {1, 8}, {2, 0}, {8, 0}};
+    auto cfgOf = [](const Design &d) {
+        return CacheConfig{8 * 1024, d.assoc, 32, Replacement::LRU};
+    };
+    auto labelOf = [](const Design &d) {
+        return d.victimLines ? std::to_string(d.victimLines) + "line"
+                             : std::to_string(d.assoc) + "way";
     };
 
-    table.addRow({"direct-mapped", TextTable::num(plain(1), 2), "-"});
-    for (uint32_t v : {1u, 2u, 4u, 8u}) {
-        uint64_t misses = 0, swaps = 0, instrs = 0;
-        const CacheConfig cfg{8 * 1024, 1, 32, Replacement::LRU};
-        for (size_t i = 0; i < suite.count(); ++i) {
-            obs::ScopedTimer cell_timer("victim " + std::to_string(v) +
-                                        "line " + suite.name(i));
-            const RunTrace &runs = suite.runTrace(i, 32);
-            VictimCache cache(cfg, v);
-            uint64_t w_misses = 0, w_swaps = 0;
+    // Cells: every workload under each design, design-major.
+    const auto cells = runCells(
+        std::size(designs) * workloads,
+        [&](size_t i) {
+            const Design &d = designs[i / workloads];
+            return std::string(d.victimLines ? "victim " : "plain ") +
+                labelOf(d) + " " + suite.name(i % workloads);
+        },
+        [&](size_t i) {
+            const Design &d = designs[i / workloads];
+            const RunTrace &runs = suite.runTrace(i % workloads, 32);
+            Counts counts;
+            if (!d.victimLines) {
+                Cache cache(cfgOf(d));
+                for (const FetchRun &run : runs.runs)
+                    cache.accessRunFill(run.startVaddr, run.count);
+                counts.misses = cache.misses();
+                return counts;
+            }
+            VictimCache cache(cfgOf(d), d.victimLines);
             for (const FetchRun &run : runs.runs) {
                 for (uint32_t k = 0; k < run.count; ++k) {
                     const int r = cache.access(
                         run.startVaddr + uint64_t{k} * kInstrBytes);
                     if (r == 2)
-                        ++w_misses;
+                        ++counts.misses;
                     else if (r == 1)
-                        ++w_swaps;
+                        ++counts.swaps;
                 }
             }
-            cell_timer.stop();
-            const uint64_t w_instrs = runs.instructions;
-            const Json config = Json::object()
-                .set("l1", toJson(cfg))
-                .set("victim_lines", Json::number(uint64_t{v}));
-            const Json stats = Json::object()
-                .set("instructions", Json::number(w_instrs))
-                .set("l1_misses", Json::number(w_misses))
-                .set("victim_swaps", Json::number(w_swaps))
-                .set("mpi100",
-                     Json::number(100.0 *
-                                  static_cast<double>(w_misses) /
-                                  static_cast<double>(w_instrs)));
-            report.addCell(suite.name(i), config, stats,
-                           cell_timer.seconds(), w_instrs, "victim",
-                           "victim" + std::to_string(v));
             if (obs::Registry::global().enabled())
                 cache.publishCounters(obs::Registry::global(),
-                                      std::to_string(v));
-            misses += w_misses;
-            swaps += w_swaps;
-            instrs += w_instrs;
-        }
-        table.addRow({
-            "DM + " + std::to_string(v) + "-line victim buffer",
-            TextTable::num(100.0 * misses / instrs, 2),
-            TextTable::num(100.0 * swaps / instrs, 2),
+                                      std::to_string(d.victimLines));
+            return counts;
         });
+
+    TextTable table("Ablation: conflict-miss remedies at 8KB "
+                    "(IBS avg, 32B lines)");
+    table.setHeader({"design", "MPI*100", "victim swaps per 100"});
+    for (size_t di = 0; di < std::size(designs); ++di) {
+        const Design &d = designs[di];
+        const CacheConfig cfg = cfgOf(d);
+        L1Count total;
+        uint64_t swaps = 0;
+        for (size_t w = 0; w < workloads; ++w) {
+            const auto &[counts, seconds] = cells[di * workloads + w];
+            const L1Count l1{suite.runTrace(w, 32).instructions,
+                             counts.misses, {}};
+            if (d.victimLines) {
+                const Json config = Json::object()
+                    .set("l1", toJson(cfg))
+                    .set("victim_lines",
+                         Json::number(uint64_t{d.victimLines}));
+                const Json stats = Json::object()
+                    .set("instructions", Json::number(l1.instructions))
+                    .set("l1_misses", Json::number(l1.misses))
+                    .set("victim_swaps", Json::number(counts.swaps))
+                    .set("mpi100", Json::number(l1.mpi100()));
+                report.addCell(suite.name(w), config, stats, seconds,
+                               l1.instructions, "victim",
+                               "victim" + std::to_string(d.victimLines));
+            } else {
+                report.addCell(suite.name(w), toJson(cfg), toJson(l1),
+                               seconds, l1.instructions, "plain",
+                               labelOf(d));
+            }
+            total.instructions += l1.instructions;
+            total.misses += l1.misses;
+            swaps += counts.swaps;
+        }
+        if (d.victimLines) {
+            table.addRow({
+                "DM + " + std::to_string(d.victimLines) +
+                    "-line victim buffer",
+                TextTable::num(total.mpi100(), 2),
+                TextTable::num(100.0 * static_cast<double>(swaps) /
+                                   static_cast<double>(total.instructions),
+                               2),
+            });
+        } else {
+            table.addRow({d.assoc == 1
+                              ? std::string("direct-mapped")
+                              : std::to_string(d.assoc) +
+                                  "-way set-associative",
+                          TextTable::num(total.mpi100(), 2), "-"});
+        }
     }
-    table.addRow({"2-way set-associative",
-                  TextTable::num(plain(2), 2), "-"});
-    table.addRow({"8-way set-associative",
-                  TextTable::num(plain(8), 2), "-"});
 
     std::cout << table.render();
     std::cout << "\nexpected shape: a small victim buffer removes "

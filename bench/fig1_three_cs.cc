@@ -17,11 +17,9 @@
 #include <vector>
 
 #include "cache/three_c.h"
-#include "obs/timer.h"
 #include "sim/bench_report.h"
-#include "sim/parallel.h"
+#include "sim/cells.h"
 #include "sim/runner.h"
-#include "sim/sweep.h"
 #include "stats/table.h"
 #include "workload/ibs.h"
 
@@ -36,28 +34,25 @@ emitSuite(const std::string &title, const SuiteTraces &traces,
     static constexpr uint64_t kSizesKb[] = {8, 16, 32, 64, 128, 256};
     constexpr size_t kSizes = std::size(kSizesKb);
     const size_t workloads = traces.count();
-    const unsigned threads = sweepThreads();
 
-    // Generate every workload's 32-B run trace first, one task per
-    // workload, so the classifier cells below never wait on a build.
-    parallelFor(workloads, threads,
-                [&](size_t i) { traces.runTrace(i, 32); });
-
-    // One cell per (size, workload), each writing only its own slot.
-    std::vector<ThreeCBreakdown> cells(kSizes * workloads);
-    std::vector<double> seconds(kSizes * workloads);
-    parallelFor(cells.size(), threads, [&](size_t cell) {
-        const uint64_t kb = kSizesKb[cell / workloads];
-        const size_t i = cell % workloads;
-        obs::ScopedTimer timer("three_c " + std::to_string(kb) + "KB " +
-                               traces.name(i));
-        ThreeCClassifier classifier(kb * 1024, 32, 1, 8);
-        for (const FetchRun &run : traces.runTrace(i, 32).runs)
-            classifier.accessRun(run.startVaddr, run.count);
-        cells[cell] = classifier.breakdown();
-        timer.stop();
-        seconds[cell] = timer.seconds();
-    });
+    // One cell per (size, workload), size-major: the first
+    // `workloads` cells each build one workload's 32-B run trace
+    // (SuiteTraces builds it once; later cells of that workload
+    // wait for it).
+    const auto cells = runCells(
+        kSizes * workloads,
+        [&](size_t cell) {
+            return "three_c " + std::to_string(kSizesKb[cell / workloads]) +
+                "KB " + traces.name(cell % workloads);
+        },
+        [&](size_t cell) {
+            ThreeCClassifier classifier(kSizesKb[cell / workloads] * 1024,
+                                        32, 1, 8);
+            for (const FetchRun &run :
+                 traces.runTrace(cell % workloads, 32).runs)
+                classifier.accessRun(run.startVaddr, run.count);
+            return classifier.breakdown();
+        });
 
     TextTable table(title);
     table.setHeader({"I-cache size", "capacity MPI*100",
@@ -67,7 +62,7 @@ emitSuite(const std::string &title, const SuiteTraces &traces,
         const uint64_t kb = kSizesKb[s];
         double cap = 0, conf = 0, comp = 0;
         for (size_t i = 0; i < workloads; ++i) {
-            const ThreeCBreakdown &b = cells[s * workloads + i];
+            const ThreeCBreakdown &b = cells[s * workloads + i].result;
             const Json config = Json::object()
                 .set("size_bytes", Json::number(kb * 1024))
                 .set("line_bytes", Json::number(uint64_t{32}))
@@ -86,7 +81,8 @@ emitSuite(const std::string &title, const SuiteTraces &traces,
                      Json::number(b.conflictMpi100()))
                 .set("total_mpi100", Json::number(b.totalMpi100()));
             report.addCell(traces.name(i), config, stats,
-                           seconds[s * workloads + i], b.accesses, grid,
+                           cells[s * workloads + i].seconds, b.accesses,
+                           grid,
                            std::to_string(kb) + "KB");
             cap += b.capacityMpi100();
             conf += b.conflictMpi100();

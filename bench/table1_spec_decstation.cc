@@ -17,6 +17,7 @@
 
 #include "core/decstation.h"
 #include "sim/bench_report.h"
+#include "sim/cells.h"
 #include "sim/runner.h"
 #include "stats/table.h"
 #include "workload/ibs.h"
@@ -34,17 +35,24 @@ main()
     table.setHeader({"Benchmark", "User%", "OS%", "Total Memory CPI",
                      "I-cache", "D-cache", "TLB", "Write"});
 
+    std::vector<WorkloadSpec> specs;
     for (const char *which : {"SPECint89", "SPECfp89", "SPECint92",
-                              "SPECfp92"}) {
-        WorkloadModel model(specComposite(which));
-        DecstationModel machine;
-        WallTimer cell_timer;
-        const DecstationStats s = machine.run(model, n);
-        report.addCell(which, Json::object(), toJson(s),
-                       cell_timer.seconds(), s.instructions,
+                              "SPECfp92"})
+        specs.push_back(specComposite(which));
+    const auto cells = runCells(
+        specs.size(),
+        [&](size_t i) { return "decstation " + specs[i].name; },
+        [&](size_t i) {
+            WorkloadModel model(specs[i]);
+            return DecstationModel().run(model, n);
+        });
+    for (size_t i = 0; i < specs.size(); ++i) {
+        const DecstationStats &s = cells[i].result;
+        report.addCell(specs[i].name, Json::object(), toJson(s),
+                       cells[i].seconds, s.instructions,
                        "decstation_3100");
         table.addRow({
-            which,
+            specs[i].name,
             TextTable::num(100.0 * s.userFraction(), 0),
             TextTable::num(100.0 * (1.0 - s.userFraction()), 0),
             TextTable::num(s.totalMemoryCpi()),

@@ -14,6 +14,7 @@
 
 #include "core/decstation.h"
 #include "sim/bench_report.h"
+#include "sim/cells.h"
 #include "sim/runner.h"
 #include "stats/table.h"
 #include "workload/ibs.h"
@@ -23,20 +24,17 @@ namespace {
 
 using namespace ibs;
 
-/** Average the DECstation stats over a suite with data refs on. */
+/** Sum the DECstation stats of one suite's cells, reporting each. */
 DecstationStats
-suiteRow(std::vector<WorkloadSpec> suite, uint64_t n,
-         BenchReport &report, const std::string &grid)
+suiteRow(const std::vector<WorkloadSpec> &specs,
+         const std::vector<Cell<DecstationStats>> &cells, size_t begin,
+         size_t end, BenchReport &report, const std::string &grid)
 {
     DecstationStats total;
-    for (WorkloadSpec &spec : suite) {
-        spec.data.enabled = true;
-        WorkloadModel model(spec);
-        DecstationModel machine;
-        WallTimer cell_timer;
-        const DecstationStats s = machine.run(model, n);
-        report.addCell(spec.name, Json::object(), toJson(s),
-                       cell_timer.seconds(), s.instructions, grid);
+    for (size_t i = begin; i < end; ++i) {
+        const DecstationStats &s = cells[i].result;
+        report.addCell(specs[i].name, Json::object(), toJson(s),
+                       cells[i].seconds, s.instructions, grid);
         total.instructions += s.instructions;
         total.userInstructions += s.userInstructions;
         total.icacheMisses += s.icacheMisses;
@@ -76,21 +74,37 @@ main()
     table.setHeader({"Benchmark", "User%", "OS%", "I-cache CPI",
                      "D-cache CPI", "Write CPI"});
 
-    addRow(table, "IBS (Mach 3.0)",
-           suiteRow(ibsSuite(OsType::Mach), n, report, "ibs_mach"));
-    addRow(table, "IBS (Ultrix 3.1)",
-           suiteRow(ibsSuite(OsType::Ultrix), n, report,
-                    "ibs_ultrix"));
+    // Cells: the IBS suite with data references under Mach, then
+    // under Ultrix, then the two SPEC92 composites.
+    std::vector<WorkloadSpec> specs;
+    for (OsType os : {OsType::Mach, OsType::Ultrix}) {
+        for (WorkloadSpec spec : ibsSuite(os)) {
+            spec.data.enabled = true;
+            specs.push_back(spec);
+        }
+    }
+    const size_t ibs_cells = specs.size();
+    for (const char *which : {"SPECint92", "SPECfp92"})
+        specs.push_back(specComposite(which));
+    const auto cells = runCells(
+        specs.size(),
+        [&](size_t i) { return "decstation " + specs[i].name; },
+        [&](size_t i) {
+            WorkloadModel model(specs[i]);
+            return DecstationModel().run(model, n);
+        });
 
-    for (const char *which : {"SPECint92", "SPECfp92"}) {
-        WorkloadModel model(specComposite(which));
-        DecstationModel machine;
-        WallTimer cell_timer;
-        const DecstationStats s = machine.run(model, n);
-        report.addCell(which, Json::object(), toJson(s),
-                       cell_timer.seconds(), s.instructions,
-                       "spec92");
-        addRow(table, which, s);
+    addRow(table, "IBS (Mach 3.0)",
+           suiteRow(specs, cells, 0, ibs_cells / 2, report,
+                    "ibs_mach"));
+    addRow(table, "IBS (Ultrix 3.1)",
+           suiteRow(specs, cells, ibs_cells / 2, ibs_cells, report,
+                    "ibs_ultrix"));
+    for (size_t i = ibs_cells; i < specs.size(); ++i) {
+        const DecstationStats &s = cells[i].result;
+        report.addCell(specs[i].name, Json::object(), toJson(s),
+                       cells[i].seconds, s.instructions, "spec92");
+        addRow(table, specs[i].name, s);
     }
 
     std::cout << table.render();

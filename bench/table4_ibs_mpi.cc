@@ -14,59 +14,28 @@
 #include <iostream>
 #include <map>
 
-#include "cache/cache.h"
 #include "sim/bench_report.h"
+#include "sim/cells.h"
 #include "sim/runner.h"
 #include "stats/table.h"
 #include "workload/ibs.h"
-#include "workload/model.h"
 
 namespace {
 
 using namespace ibs;
 
-struct Row
+/** Execution share (percent) of each component kind in `count`. */
+std::map<ComponentKind, double>
+shares(const WorkloadSpec &spec, const L1Count &count)
 {
-    uint64_t instructions = 0;
-    uint64_t misses = 0;
-    double mpi = 0;
-    double wallSeconds = 0;
-    std::map<ComponentKind, double> share;
-};
-
-Row
-measure(const WorkloadSpec &spec, uint64_t n)
-{
-    WallTimer timer;
-    WorkloadModel model(spec);
-    Cache cache(CacheConfig{8 * 1024, 1, 32, Replacement::LRU});
-    std::map<Asid, uint64_t> per_asid;
     std::map<Asid, ComponentKind> kind_of;
     for (const auto &cp : spec.components)
         kind_of[cp.asid] = cp.kind;
-
-    TraceRecord rec;
-    uint64_t instrs = 0, misses = 0;
-    while (instrs < n && model.next(rec)) {
-        if (!rec.isInstr())
-            continue;
-        ++instrs;
-        ++per_asid[rec.asid];
-        if (!cache.access(rec.vaddr))
-            ++misses;
-    }
-
-    Row row;
-    row.instructions = instrs;
-    row.misses = misses;
-    row.mpi = 100.0 * static_cast<double>(misses) /
-        static_cast<double>(instrs);
-    for (const auto &[asid, count] : per_asid)
-        row.share[kind_of[asid]] =
-            100.0 * static_cast<double>(count) /
-            static_cast<double>(instrs);
-    row.wallSeconds = timer.seconds();
-    return row;
+    std::map<ComponentKind, double> share;
+    for (const auto &[asid, instrs] : count.perAsid)
+        share[kind_of[asid]] = 100.0 * static_cast<double>(instrs) /
+            static_cast<double>(count.instructions);
+    return share;
 }
 
 const char *
@@ -81,18 +50,20 @@ kindName(ComponentKind k)
     return "other_pct";
 }
 
-void
+/** Report one cell; returns its per-kind execution shares. */
+std::map<ComponentKind, double>
 addRowCell(BenchReport &report, const std::string &workload,
-           const Row &row, const std::string &grid)
+           const WorkloadSpec &spec, const Cell<L1Count> &cell,
+           const std::string &grid)
 {
-    Json stats = Json::object()
-        .set("instructions", Json::number(row.instructions))
-        .set("l1_misses", Json::number(row.misses))
-        .set("mpi100", Json::number(row.mpi));
-    for (const auto &[kind, pct] : row.share)
+    const std::map<ComponentKind, double> share =
+        shares(spec, cell.result);
+    Json stats = toJson(cell.result);
+    for (const auto &[kind, pct] : share)
         stats.set(kindName(kind), Json::number(pct));
     report.addCell(workload, Json::object(), std::move(stats),
-                   row.wallSeconds, row.instructions, grid);
+                   cell.seconds, cell.result.instructions, grid);
+    return share;
 }
 
 } // namespace
@@ -109,19 +80,39 @@ main()
     table.setHeader({"OS", "Application", "MPI", "User%", "Kernel%",
                      "BSD%", "X%"});
 
+    // Cells: the eight IBS workloads under Mach, then under Ultrix,
+    // then the SPEC92 benchmarks.
+    std::vector<WorkloadSpec> specs;
+    for (OsType os : {OsType::Mach, OsType::Ultrix}) {
+        for (IbsBenchmark b : allIbsBenchmarks())
+            specs.push_back(makeIbs(b, os));
+    }
+    for (SpecBenchmark b : allSpecBenchmarks())
+        specs.push_back(makeSpec(b));
+    const auto cells = runCells(
+        specs.size(),
+        [&](size_t i) { return "l1_mpi " + specs[i].name; },
+        [&](size_t i) {
+            return countL1Misses(
+                specs[i], CacheConfig{8 * 1024, 1, 32, Replacement::LRU},
+                n);
+        });
+    size_t c = 0;
+
     double mach_sum = 0;
     for (IbsBenchmark b : allIbsBenchmarks()) {
-        const Row row = measure(makeIbs(b, OsType::Mach), n);
-        addRowCell(report, benchmarkName(b), row, "ibs_mach");
-        mach_sum += row.mpi;
+        const double mpi = cells[c].result.mpi100();
+        const auto share = addRowCell(report, benchmarkName(b),
+                                      specs[c], cells[c], "ibs_mach");
+        ++c;
+        mach_sum += mpi;
         auto pct = [&](ComponentKind k) {
-            auto it = row.share.find(k);
-            return it == row.share.end()
-                ? std::string("0")
-                : TextTable::num(it->second, 0);
+            auto it = share.find(k);
+            return it == share.end() ? std::string("0")
+                                     : TextTable::num(it->second, 0);
         };
         table.addRow({"Mach 3.0", benchmarkName(b),
-                      TextTable::num(row.mpi, 2),
+                      TextTable::num(mpi, 2),
                       pct(ComponentKind::User),
                       pct(ComponentKind::Kernel),
                       pct(ComponentKind::BsdServer),
@@ -134,18 +125,20 @@ main()
 
     double ultrix_sum = 0;
     for (IbsBenchmark b : allIbsBenchmarks()) {
-        const Row row = measure(makeIbs(b, OsType::Ultrix), n);
-        addRowCell(report, benchmarkName(b), row, "ibs_ultrix");
-        ultrix_sum += row.mpi;
+        ultrix_sum += cells[c].result.mpi100();
+        addRowCell(report, benchmarkName(b), specs[c], cells[c],
+                   "ibs_ultrix");
+        ++c;
     }
     const double ultrix_avg =
         ultrix_sum / static_cast<double>(allIbsBenchmarks().size());
 
     double spec_sum = 0;
     for (SpecBenchmark b : allSpecBenchmarks()) {
-        const Row row = measure(makeSpec(b), n);
-        addRowCell(report, benchmarkName(b), row, "spec92");
-        spec_sum += row.mpi;
+        spec_sum += cells[c].result.mpi100();
+        addRowCell(report, benchmarkName(b), specs[c], cells[c],
+                   "spec92");
+        ++c;
     }
     const double spec_avg =
         spec_sum / static_cast<double>(allSpecBenchmarks().size());

@@ -118,6 +118,15 @@ toJson(const FetchStats &stats)
 }
 
 Json
+toJson(const L1Count &count)
+{
+    return Json::object()
+        .set("instructions", Json::number(count.instructions))
+        .set("l1_misses", Json::number(count.misses))
+        .set("mpi100", Json::number(count.mpi100()));
+}
+
+Json
 toJson(const DecstationStats &stats)
 {
     return Json::object()

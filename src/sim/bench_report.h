@@ -90,6 +90,9 @@ Json toJson(const FetchStats &stats);
  *  CPI components of Tables 1 and 3. */
 Json toJson(const DecstationStats &stats);
 
+/** JSON form of an L1 pass: {instructions, l1_misses, mpi100}. */
+Json toJson(const L1Count &count);
+
 /** timing object: {wall_seconds, instructions,
  *  instructions_per_second}. */
 Json timingJson(double wall_seconds, uint64_t instructions);

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstdlib>
 
+#include "cache/cache.h"
 #include "obs/log.h"
 #include "obs/registry.h"
 #include "obs/timer.h"
@@ -44,6 +45,24 @@ uint64_t
 benchInstructions(uint64_t fallback)
 {
     return parseEnvCount("IBS_BENCH_INSTR", fallback);
+}
+
+L1Count
+countL1Misses(const WorkloadSpec &spec, const CacheConfig &config,
+              uint64_t n)
+{
+    WorkloadModel model(spec);
+    RunStream stream(model, config.lineBytes, n);
+    Cache cache(config);
+    L1Count count;
+    FetchRun run;
+    while (stream.next(run)) {
+        cache.accessRunFill(run.startVaddr, run.count);
+        count.perAsid[run.asid] += run.count;
+    }
+    count.instructions = stream.instructions();
+    count.misses = cache.misses();
+    return count;
 }
 
 SuiteTraces::SuiteTraces(const std::vector<WorkloadSpec> &suite,

@@ -69,6 +69,31 @@ uint64_t parseEnvCount(const char *name, uint64_t fallback);
  *  the IBS_BENCH_INSTR environment variable. */
 uint64_t benchInstructions(uint64_t fallback = 1'500'000);
 
+/** Counts of one L1 pass over a workload (countL1Misses). */
+struct L1Count
+{
+    uint64_t instructions = 0;
+    uint64_t misses = 0;
+    std::map<Asid, uint64_t> perAsid; ///< Instructions per ASID.
+
+    double
+    mpi100() const
+    {
+        return 100.0 * static_cast<double>(misses) /
+            static_cast<double>(instructions);
+    }
+};
+
+/**
+ * Replay the first `n` instruction fetches of `spec` through a fresh
+ * cache of geometry `config`. The stream is drained as runs cut at
+ * the cache's line size (workload/run_stream.h), one tag probe per
+ * run (Cache::accessRunFill), so the counts equal probing every
+ * fetch WorkloadModel::next returns with Cache::access.
+ */
+L1Count countL1Misses(const WorkloadSpec &spec,
+                      const CacheConfig &config, uint64_t n);
+
 /**
  * Instruction traces for a suite of workloads, held run-compressed.
  *

@@ -1,7 +1,8 @@
 /**
  * @file
  * ThreadPool / parallelFor: worker reuse, exception semantics,
- * nesting, and scheduling-independence.
+ * nesting, and scheduling-independence; runCells (sim/cells.h):
+ * index order, participant-independence and one span per cell.
  *
  * The pool exists because the long-running simulation server issues
  * thousands of parallelFor loops per process; spawn-per-call would
@@ -16,11 +17,21 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
+#include <map>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include "obs/trace_sink.h"
+#include "sim/cells.h"
 
 namespace ibs {
 namespace {
@@ -86,24 +97,81 @@ TEST(ThreadPool, EveryIndexRunsExactlyOnce)
         ASSERT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
+/** One-shot gate: wait() blocks until open(); open() is idempotent. */
+class Gate
+{
+  public:
+    void
+    open()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            open_ = true;
+        }
+        cv_.notify_all();
+    }
+
+    void
+    wait()
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        cv_.wait(lock, [&] { return open_; });
+    }
+
+  private:
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    bool open_ = false;
+};
+
 TEST(ThreadPool, FirstExceptionIsRethrownAndDrainsPromptly)
 {
-    ThreadPool pool(3);
+    // A fixed schedule on one worker W and the calling thread C, so
+    // the count is exact. C parks inside its first item. W's first
+    // item waits for that, starts a probe loop on a third thread and
+    // throws. W's handler drains the cursor before W returns to the
+    // pool, where the probe loop is the only work left; W's probe
+    // item releases C. Every claim after the drain is past the end,
+    // so C's parked item is the only one that completes.
+    ThreadPool pool(1);
     constexpr size_t TOTAL = 100'000;
+    const std::thread::id caller = std::this_thread::get_id();
+    Gate parked, released;
+    std::thread prober;
     std::atomic<size_t> executed{0};
-    EXPECT_THROW(
-        pool.parallelFor(TOTAL,
-                         [&](size_t i) {
-                             if (i == 0)
-                                 throw std::runtime_error("item 0");
-                             executed.fetch_add(
-                                 1, std::memory_order_relaxed);
-                         }),
-        std::runtime_error);
-    // Draining stores total into the cursor, so the other
-    // participants stop after at most the items they had already
-    // claimed — nowhere near the full index space.
-    EXPECT_LT(executed.load(), TOTAL / 2);
+    try {
+        pool.parallelFor(
+            TOTAL,
+            [&](size_t) {
+                if (std::this_thread::get_id() == caller) {
+                    parked.open();
+                    released.wait();
+                    executed.fetch_add(1, std::memory_order_relaxed);
+                    return;
+                }
+                parked.wait();
+                prober = std::thread([&] {
+                    const std::thread::id self =
+                        std::this_thread::get_id();
+                    pool.parallelFor(
+                        2,
+                        [&](size_t) {
+                            if (std::this_thread::get_id() == self)
+                                released.wait();
+                            else
+                                released.open();
+                        },
+                        2);
+                });
+                throw std::runtime_error("worker item");
+            },
+            2);
+        ADD_FAILURE() << "the item's exception was not rethrown";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "worker item");
+    }
+    prober.join();
+    EXPECT_EQ(executed.load(), 1u);
 }
 
 TEST(ThreadPool, PoolSurvivesAThrowingLoop)
@@ -170,6 +238,113 @@ TEST(ThreadPool, ZeroWorkerPoolRunsOnCaller)
     });
     ASSERT_EQ(ids.size(), 1u);
     EXPECT_EQ(*ids.begin(), std::this_thread::get_id());
+}
+
+/** Sets IBS_THREADS (runCells' participant cap) for one scope. */
+class ThreadsEnv
+{
+  public:
+    explicit ThreadsEnv(const char *value)
+    {
+        if (const char *old = std::getenv("IBS_THREADS"))
+            old_ = old;
+        setenv("IBS_THREADS", value, 1);
+    }
+
+    ~ThreadsEnv()
+    {
+        if (old_)
+            setenv("IBS_THREADS", old_->c_str(), 1);
+        else
+            unsetenv("IBS_THREADS");
+    }
+
+  private:
+    std::optional<std::string> old_;
+};
+
+TEST(RunCells, ResultsComeBackInIndexOrder)
+{
+    const ThreadsEnv env("4");
+    // Earlier cells sleep longer, so on four participants they finish
+    // after later ones; the results must still be in index order.
+    constexpr size_t COUNT = 8;
+    const auto cells = runCells(
+        COUNT, [](size_t i) { return "cell " + std::to_string(i); },
+        [](size_t i) {
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(2 * (COUNT - i)));
+            return i * i;
+        });
+    ASSERT_EQ(cells.size(), COUNT);
+    for (size_t i = 0; i < COUNT; ++i) {
+        EXPECT_EQ(cells[i].result, i * i) << "cell " << i;
+        EXPECT_GT(cells[i].seconds, 0.0) << "cell " << i;
+    }
+}
+
+TEST(RunCells, ResultsAreIndependentOfParticipants)
+{
+    auto run = [](const char *threads) {
+        const ThreadsEnv env(threads);
+        const auto cells = runCells(
+            64, [](size_t i) { return "cell " + std::to_string(i); },
+            [](size_t i) {
+                // A small item-owned computation: a few LCG steps.
+                uint64_t x = i + 1;
+                std::vector<uint64_t> trail;
+                for (size_t k = 0; k <= i % 7; ++k) {
+                    x = x * 6364136223846793005ULL +
+                        1442695040888963407ULL;
+                    trail.push_back(x >> 33);
+                }
+                return trail;
+            });
+        std::vector<std::vector<uint64_t>> results;
+        for (const auto &cell : cells)
+            results.push_back(cell.result);
+        return results;
+    };
+    EXPECT_EQ(run("1"), run("4"));
+}
+
+TEST(RunCells, FirstExceptionIsRethrown)
+{
+    const ThreadsEnv env("4");
+    EXPECT_THROW(runCells(
+                     16, [](size_t) { return std::string("cell"); },
+                     [](size_t i) {
+                         if (i == 5)
+                             throw std::runtime_error("cell 5");
+                         return i;
+                     }),
+                 std::runtime_error);
+}
+
+TEST(RunCells, EmitsOneSpanPerCellWithItsName)
+{
+    const ThreadsEnv env("4");
+    const std::string path = testing::TempDir() + "run_cells_trace.json";
+    auto prev = obs::TraceEventSink::exchangeGlobal(
+        std::make_unique<obs::TraceEventSink>(path));
+    constexpr size_t COUNT = 12;
+    runCells(
+        COUNT, [](size_t i) { return "cell " + std::to_string(i); },
+        [](size_t i) { return i; });
+    auto sink = obs::TraceEventSink::exchangeGlobal(std::move(prev));
+
+    std::map<std::string, int> spans;
+    const Json doc = sink->build();
+    const Json &events = doc.at("traceEvents");
+    for (size_t e = 0; e < events.size(); ++e) {
+        if (events.at(e).at("ph").asString() == "X")
+            ++spans[events.at(e).at("name").asString()];
+    }
+    EXPECT_EQ(spans.size(), COUNT);
+    for (size_t i = 0; i < COUNT; ++i)
+        EXPECT_EQ(spans["cell " + std::to_string(i)], 1) << "cell " << i;
+    sink.reset();
+    std::remove(path.c_str());
 }
 
 } // namespace
