@@ -19,8 +19,8 @@
 #include "cache/subblock.h"
 #include "core/fetch_config.h"
 #include "obs/registry.h"
-#include "obs/timer.h"
 #include "sim/bench_report.h"
+#include "sim/cells.h"
 #include "sim/runner.h"
 #include "sim/sweep.h"
 #include "stats/table.h"
@@ -89,14 +89,15 @@ main()
         return result.suite(c).cpiInstr();
     };
 
+    // The 64-B run traces are the ones runSweep built for plain64.
+    const auto sub_cells = runCells(
+        suite.count(),
+        [&](size_t i) { return "sub_block 16B " + suite.name(i); },
+        [&](size_t i) { return subBlockCpi(suite.runTrace(i, 64)); });
     double sub = 0;
     for (size_t i = 0; i < suite.count(); ++i) {
-        obs::ScopedTimer cell_timer("sub_block 16B " + suite.name(i));
-        // The 64-B run trace is the one runSweep built for plain64.
-        const RunTrace &runs = suite.runTrace(i, 64);
-        const double cpi = subBlockCpi(runs);
-        cell_timer.stop();
-        const uint64_t instrs = runs.instructions;
+        const double cpi = sub_cells[i].result;
+        const uint64_t instrs = suite.runTrace(i, 64).instructions;
         const Json config = Json::object()
             .set("l1", toJson(CacheConfig{8 * 1024, 1, 64,
                                           Replacement::LRU}))
@@ -105,7 +106,7 @@ main()
             .set("instructions", Json::number(instrs))
             .set("cpi_instr", Json::number(cpi));
         report.addCell(suite.name(i), config, stats,
-                       cell_timer.seconds(), instrs, "sub_block",
+                       sub_cells[i].seconds, instrs, "sub_block",
                        "subblock64_16");
         sub += cpi;
     }

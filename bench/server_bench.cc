@@ -8,15 +8,12 @@
  *   1. cold vs warm: the same request twice on one connection — the
  *      first materializes the traces (memo miss), the second replays
  *      them (memo hit) and must be faster;
- *   2. cross-check: after a sequential warm-probe phase, the
- *      server's own sweep-latency histogram (the `metrics` request)
- *      must agree with the client-side latencies of the same
- *      requests to within one log2 bucket (2x) at p50 and p99 — a
- *      hard failure otherwise, since both sides timed the same
- *      work. The check runs *before* the concurrent load because a
- *      request queued in the socket buffer behind a busy core is a
- *      delay the client clock sees but the server timer cannot;
- *      sequential requests have no such queue;
+ *   2. cross-check: over the cold, warm and eight warm-probe
+ *      requests, each done frame's latency_us must be at most the
+ *      client's own clock around that request, and the server's
+ *      sweep-latency histogram (the `metrics` request) must hold
+ *      exactly those reported values, bucket by bucket — a hard
+ *      failure otherwise;
  *   3. throughput: for each concurrency level, N connections each
  *      issue R identical warm requests; requests/s and p50/p99
  *      latency come from the per-request wall times.
@@ -37,7 +34,6 @@
 #include <vector>
 
 #include "obs/prom.h"
-#include "obs/registry.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "sim/bench_report.h"
@@ -109,19 +105,6 @@ runLoad(uint16_t port, unsigned connections, unsigned requests,
     return out;
 }
 
-/** Client exact percentile vs server histogram edge, both at log2
- *  bucket resolution (one bucket of slack = within 2x). */
-bool
-bucketsAgree(double client_seconds, double server_edge_us)
-{
-    const double client_edge =
-        static_cast<double>(ibs::obs::log2BucketUpperEdge(
-            static_cast<uint64_t>(client_seconds * 1e6)));
-    const double hi = std::max(client_edge, server_edge_us);
-    const double lo = std::min(client_edge, server_edge_us);
-    return lo > 0 && hi / lo <= 2.01;
-}
-
 } // namespace
 
 int
@@ -143,18 +126,33 @@ main()
     serve::Server server(config);
     server.start();
 
+    // Every request of the first two phases, as the server reported
+    // its latency; the cross-check below holds the histogram to it.
+    std::vector<uint64_t> reported;
+    uint64_t nesting_violations = 0;
+    const auto timed_sweep = [&](serve::Client &client,
+                                 double &seconds) {
+        WallTimer timer;
+        serve::Client::SweepResult result =
+            client.sweep(suite, configs, workloads, n);
+        seconds = timer.seconds();
+        if (result.ok) {
+            reported.push_back(result.latencyUs);
+            if (result.latencyUs >
+                static_cast<uint64_t>(seconds * 1e6))
+                ++nesting_violations;
+        }
+        return result;
+    };
+
     // --- Cold vs warm: the memo is the whole point. -------------
     double cold_seconds = 0, warm_seconds = 0;
     {
         serve::Client client(server.port());
-        WallTimer cold_timer;
-        serve::Client::SweepResult cold = client.sweep(
-            suite, configs, workloads, n);
-        cold_seconds = cold_timer.seconds();
-        WallTimer warm_timer;
-        serve::Client::SweepResult warm = client.sweep(
-            suite, configs, workloads, n);
-        warm_seconds = warm_timer.seconds();
+        serve::Client::SweepResult cold =
+            timed_sweep(client, cold_seconds);
+        serve::Client::SweepResult warm =
+            timed_sweep(client, warm_seconds);
         if (!cold.ok || !warm.ok || cold.memoHit || !warm.memoHit) {
             std::fprintf(stderr,
                          "server_bench: memo probe failed "
@@ -184,69 +182,59 @@ main()
                        warm_seconds, instructions, "latency");
     }
 
-    // --- Cross-check: server histogram vs client clocks. --------
-    // A short sequential warm-probe phase gives both sides the same
-    // distribution: every latency below was clocked by this client
-    // AND recorded in the server's serve.sweep.latency_us histogram.
-    // Sequential on purpose — see the file comment.
-    std::vector<double> probe_latencies = {cold_seconds,
-                                           warm_seconds};
+    // --- Cross-check: server histogram vs reported latencies. ---
+    // Eight more warm probes, then the histogram must hold exactly
+    // the latency_us of these ten requests — nothing else has swept
+    // this server yet — and each must nest in the client's clock.
     {
         serve::Client client(server.port());
         for (int i = 0; i < 8; ++i) {
-            WallTimer probe_timer;
-            if (!client.sweep(suite, configs, workloads, n).ok) {
+            double seconds = 0;
+            if (!timed_sweep(client, seconds).ok) {
                 std::fprintf(stderr,
                              "server_bench: warm probe failed\n");
                 return 1;
             }
-            probe_latencies.push_back(probe_timer.seconds());
         }
         WallTimer scrape_timer;
-        const std::string text = client.metricsText();
         obs::PromHistogram latency;
-        if (!obs::parsePromHistogram(
-                text, "ibs_serve_sweep_latency_us", latency) ||
-            latency.count == 0) {
-            std::fprintf(stderr,
-                         "server_bench: metrics carry no "
-                         "ibs_serve_sweep_latency_us histogram\n");
-            return 1;
-        }
-        std::sort(probe_latencies.begin(), probe_latencies.end());
-        const double client_p50 = percentile(probe_latencies, 0.50);
-        const double client_p99 = percentile(probe_latencies, 0.99);
-        const double server_p50 = latency.quantile(0.50);
-        const double server_p99 = latency.quantile(0.99);
-        const bool ok50 = bucketsAgree(client_p50, server_p50);
-        const bool ok99 = bucketsAgree(client_p99, server_p99);
-        std::printf("cross-check: client p50=%.1fms p99=%.1fms, "
-                    "server bucket p50<=%.1fms p99<=%.1fms (%s)\n",
-                    client_p50 * 1e3, client_p99 * 1e3,
-                    server_p50 / 1e3, server_p99 / 1e3,
-                    ok50 && ok99 ? "agree" : "DIVERGE");
+        std::string error;
+        if (!obs::parsePromHistogram(client.metricsText(),
+                                     "ibs_serve_sweep_latency_us",
+                                     latency))
+            error = "metrics carry no ibs_serve_sweep_latency_us "
+                    "histogram";
+        else
+            obs::promHistogramHolds(latency, reported, error);
+        const bool agree = error.empty() && nesting_violations == 0;
+        std::printf("cross-check: %zu server latencies, %llu above "
+                    "the client clock, histogram %s\n",
+                    reported.size(),
+                    static_cast<unsigned long long>(
+                        nesting_violations),
+                    error.empty() ? "exact" : "DIVERGES");
         report.addCell(
             "cross_check",
             Json::object().set("source",
                                Json::string("metrics_endpoint")),
             Json::object()
-                .set("client_p50_seconds", Json::number(client_p50))
-                .set("client_p99_seconds", Json::number(client_p99))
-                .set("server_p50_bucket_us",
-                     Json::number(server_p50))
-                .set("server_p99_bucket_us",
-                     Json::number(server_p99))
+                .set("requests", Json::number(uint64_t{
+                                     reported.size()}))
+                .set("nesting_violations",
+                     Json::number(nesting_violations))
                 .set("server_histogram_count",
                      Json::number(latency.count))
-                .set("agree", Json::boolean(ok50 && ok99)),
+                .set("agree", Json::boolean(agree)),
             scrape_timer.seconds(), 0, "metrics");
-        if (!ok50 || !ok99) {
-            std::fprintf(
-                stderr,
-                "server_bench: server-side sweep latency "
-                "percentiles diverge from client-side by more than "
-                "one log2 bucket (2x); both sides timed the same "
-                "requests\n");
+        if (!agree) {
+            std::fprintf(stderr,
+                         "server_bench: server sweep latencies "
+                         "disagree with the client: %llu exceed the "
+                         "client clock; %s\n",
+                         static_cast<unsigned long long>(
+                             nesting_violations),
+                         error.empty() ? "histogram exact"
+                                       : error.c_str());
             return 1;
         }
     }

@@ -7,8 +7,9 @@
  *
  * One measured iteration is one pass over the grid. collapsed:1 is
  * a runSweep — the eight geometry variants share one L1 capture per
- * workload and replay a short miss stream (one LRU stack pass for
- * the whole group) — while collapsed:0 loops SuiteTraces::runOne
+ * workload and replay its short miss stream through one Cache per
+ * distinct L2 (four here: the economy and high-performance arms
+ * share each geometry) — while collapsed:0 loops SuiteTraces::runOne
  * over the grid, simulating every cell in full. Both modes are
  * warmed first so the run-trace memos and miss streams exist before
  * timing: this compares steady-state sweep cost, which is what a

@@ -7,6 +7,7 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -278,6 +279,44 @@ parsePromHistogram(const std::string &text, const std::string &metric,
         }
     }
     return have_count && !out.buckets.empty();
+}
+
+bool
+promHistogramHolds(const PromHistogram &hist,
+                   const std::vector<uint64_t> &values,
+                   std::string &error, const PromHistogram *since)
+{
+    // Per-bucket observations minus reported values, keyed by upper
+    // edge. The "+Inf" bucket's cumulative count is _count, so
+    // all-zero differences also mean equal counts.
+    std::map<double, int64_t> excess;
+    const auto add = [&excess](const PromHistogram &h, int64_t sign) {
+        uint64_t prev = 0;
+        for (const auto &[edge, cumulative] : h.buckets) {
+            excess[edge] +=
+                sign * static_cast<int64_t>(cumulative - prev);
+            prev = cumulative;
+        }
+    };
+    add(hist, 1);
+    if (since)
+        add(*since, -1);
+    for (uint64_t v : values)
+        --excess[static_cast<double>(log2BucketUpperEdge(v))];
+    for (const auto &[edge, n] : excess) {
+        if (n == 0)
+            continue;
+        std::ostringstream os;
+        os << "bucket le=";
+        if (std::isinf(edge))
+            os << "+Inf";
+        else
+            os << static_cast<uint64_t>(edge);
+        os << ": observations minus reported values = " << n;
+        error = os.str();
+        return false;
+    }
+    return true;
 }
 
 bool

@@ -31,9 +31,10 @@
  *
  * The parser side is the minimal consumer the tools need: extract
  * one histogram family and compute bucket-resolution quantiles with
- * the same upper-edge semantics as HistogramSnapshot::quantile, so a
- * client-side exact percentile bucketized with log2BucketUpperEdge()
- * is directly comparable. validatePromText() is the well-formedness
+ * the same upper-edge semantics as HistogramSnapshot::quantile, and
+ * check that a histogram holds exactly a list of reported values
+ * (promHistogramHolds, the server latency cross-check).
+ * validatePromText() is the well-formedness
  * check behind `validate_bench_json --prom`.
  */
 
@@ -92,6 +93,19 @@ struct PromHistogram
 bool parsePromHistogram(const std::string &text,
                         const std::string &metric,
                         PromHistogram &out);
+
+/**
+ * Exact check that histogram `hist` recorded precisely `values`:
+ * each bucket holds as many of them as log2BucketUpperEdge maps onto
+ * its edge (so _count equals values.size() too). `since`, when
+ * given, is an earlier scrape of the same family whose counts are
+ * subtracted first, so the check covers only what was observed after
+ * it. On failure, `error` names the first bucket that differs.
+ */
+bool promHistogramHolds(const PromHistogram &hist,
+                        const std::vector<uint64_t> &values,
+                        std::string &error,
+                        const PromHistogram *since = nullptr);
 
 /** First sample value of plain metric `metric` (counter or gauge
  *  line, no labels). False when absent. */

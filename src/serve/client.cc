@@ -204,6 +204,10 @@ Client::sweep(const std::string &suite,
             const Json *wall = frame.find("wall_seconds");
             if (wall && wall->isNumber())
                 result.wallSeconds = wall->asNumber();
+            const Json *latency = frame.find("latency_us");
+            if (latency && latency->isNumber())
+                result.latencyUs =
+                    static_cast<uint64_t>(latency->asNumber());
             result.ok = true;
             return result;
         }

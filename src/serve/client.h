@@ -82,6 +82,9 @@ class Client
         bool memoHit = false;   ///< Server had the traces warm.
         uint64_t cellsExpected = 0;
         double wallSeconds = 0; ///< Server-side request wall time.
+        /** Server-side latency from the "done" frame; no larger
+         *  than the caller's own clock around sweep(). */
+        uint64_t latencyUs = 0;
         std::vector<Json> cells; ///< Every "cell" frame, in arrival
                                  ///< order.
     };

@@ -39,6 +39,13 @@
  * process-wide sequence and echoes that instead — every response
  * frame to a well-formed request therefore carries a "req_id".
  *
+ * The "done" frame carries "wall_seconds" (the sweep's run time on
+ * the server) and the integer "latency_us": microseconds from the
+ * server reading the request frame to just before it writes "done".
+ * That interval nests inside the client's own on one steady clock,
+ * and the server's serve.sweep.latency_us histogram records exactly
+ * this value, before the frame is sent.
+ *
  * The "metrics" response's "text" member is the server's telemetry
  * in Prometheus text exposition format (src/obs/prom.h): registry
  * counters and gauges, request/phase latency histograms with

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -24,8 +25,6 @@
 #include "obs/trace_sink.h"
 #include "serve/catalog.h"
 #include "sim/bench_report.h"
-#include "sim/collapse.h"
-#include "sim/parallel.h"
 #include "sim/sweep.h"
 
 namespace ibs::serve {
@@ -160,6 +159,9 @@ struct RequestTelemetry
     uint64_t bytesOut = 0;
     uint64_t cells = 0;
     bool isSweep = false;
+    /** A completed sweep's latency, read once before its done frame
+     *  (see sweepDone). */
+    std::optional<uint64_t> sweepLatencyUs;
     WallTimer timer;
     obs::TraceEventSink *sink;
 
@@ -189,21 +191,42 @@ struct RequestTelemetry
                            sink->nowMicros());
     }
 
+    uint64_t
+    elapsedUs() const
+    {
+        return static_cast<uint64_t>(timer.seconds() * 1e6);
+    }
+
+    /**
+     * Freeze a completed sweep's latency, just before its done frame
+     * is written: the frame carries the returned value and
+     * serve.sweep.latency_us records the same one, already before
+     * the client can see the frame. So a client can check the
+     * histogram against the values it was sent exactly, and each
+     * value against its own clock: this interval starts after the
+     * request was read and ends before the reply is sent.
+     */
+    uint64_t
+    sweepDone()
+    {
+        sweepLatencyUs = elapsedUs();
+        obs::Registry &registry = obs::Registry::global();
+        if (registry.enabled())
+            registry.observe("serve.sweep.latency_us",
+                             *sweepLatencyUs);
+        return *sweepLatencyUs;
+    }
+
     ~RequestTelemetry()
     {
         const uint64_t us =
-            static_cast<uint64_t>(timer.seconds() * 1e6);
+            sweepLatencyUs ? *sweepLatencyUs : elapsedUs();
         obs::Registry &registry = obs::Registry::global();
         if (registry.enabled()) {
             registry.observe("serve.request.latency_us", us);
             registry.observe("serve.request.bytes_out", bytesOut);
-            if (isSweep) {
+            if (isSweep)
                 registry.observe("serve.request.cells", cells);
-                // Sweep-only latency: the all-request histogram
-                // mixes in microsecond pings, so percentile
-                // cross-checks against sweep clients read this one.
-                registry.observe("serve.sweep.latency_us", us);
-            }
         }
         if (sink) {
             const uint64_t now = sink->nowMicros();
@@ -556,24 +579,19 @@ Server::handleSweep(int fd, const Json &request,
             return;
     }
 
-    // Shard cells over the shared pool; stream each one the moment
-    // it completes. Configs differing only in L2 geometry collapse
-    // onto one capture-plus-replay task per workload
-    // (sim/collapse.h), exactly as runSweep does; the remaining
-    // configs run the per-cell path. A failed socket write aborts
-    // the whole loop via the pool's exception drain.
-    const size_t workloads = sweep.workloads.size();
+    // runSweep shards the cells over the shared pool (collapsing
+    // configs that differ only in L2 geometry, sim/collapse.h); its
+    // sink streams each cell the moment its slot is final. A failed
+    // socket write aborts the whole sweep via the pool's exception
+    // drain.
     std::vector<FetchConfig> grid;
     grid.reserve(sweep.configs.size());
     for (const FetchConfig *config : sweep.configs)
         grid.push_back(*config);
-    const CollapsePlan plan = planCollapse(grid);
-    publishCollapsePlan(plan, workloads);
-
-    // One cell frame, identical in shape whichever path computed it.
     const auto emit_cell = [&](size_t c, size_t w,
                                const FetchStats &stats,
-                               double seconds) {
+                               const CellTiming &timing) {
+        telemetry.step(); // Flow: this cell's pool thread.
         WallTimer serialize_timer;
         Json cell =
             Json::object()
@@ -585,8 +603,8 @@ Server::handleSweep(int fd, const Json &request,
                      Json::string(sweep.workloads[w].name))
                 .set("workload_index", Json::number(w))
                 .set("stats", toJson(stats))
-                .set("timing",
-                     timingJson(seconds, stats.instructions))
+                .set("timing", timingJson(timing.wallSeconds,
+                                          timing.instructions))
                 .set("req_id", Json::string(telemetry.id));
         {
             std::lock_guard<std::mutex> lock(write_mutex);
@@ -597,7 +615,7 @@ Server::handleSweep(int fd, const Json &request,
         if (registry.enabled()) {
             registry.observe(
                 "serve.sweep.simulate_us",
-                static_cast<uint64_t>(seconds * 1e6));
+                static_cast<uint64_t>(timing.wallSeconds * 1e6));
             registry.observe(
                 "serve.sweep.serialize_us",
                 static_cast<uint64_t>(
@@ -605,41 +623,8 @@ Server::handleSweep(int fd, const Json &request,
         }
         cellsDone_.fetch_add(1, std::memory_order_relaxed);
     };
-
-    const size_t single_tasks = plan.singles.size() * workloads;
     try {
-        parallelFor(
-            single_tasks + plan.groups.size() * workloads,
-            config_.threads ? config_.threads : sweepThreads(),
-            [&](size_t i) {
-                if (i < single_tasks) {
-                    const size_t c = plan.singles[i / workloads];
-                    const size_t w = i % workloads;
-                    WallTimer cell_timer;
-                    const FetchStats stats =
-                        suite->runOne(w, grid[c]);
-                    const double seconds = cell_timer.seconds();
-                    telemetry.step(); // Flow: this cell's thread.
-                    emit_cell(c, w, stats, seconds);
-                    return;
-                }
-                const size_t g = (i - single_tasks) / workloads;
-                const size_t w = (i - single_tasks) % workloads;
-                WallTimer group_timer;
-                const std::vector<CollapsedCell> group_cells =
-                    runCollapsedGroup(*suite, w, grid,
-                                      plan.groups[g]);
-                if (registry.enabled()) {
-                    registry.observe(
-                        "serve.sweep.collapse_us",
-                        static_cast<uint64_t>(
-                            group_timer.seconds() * 1e6));
-                }
-                telemetry.step(); // Flow: this group's pool thread.
-                for (const CollapsedCell &cell : group_cells)
-                    emit_cell(cell.config, w, cell.stats,
-                              cell.wallSeconds);
-            });
+        runSweep(*suite, grid, 0, emit_cell);
     } catch (const std::exception &e) {
         obs::log(obs::LogLevel::Warn, "serve: sweep aborted: %s",
                  e.what());
@@ -657,6 +642,8 @@ Server::handleSweep(int fd, const Json &request,
                     .set("memo_hit", Json::boolean(memo_hit))
                     .set("wall_seconds",
                          Json::number(request_timer.seconds()))
+                    .set("latency_us",
+                         Json::number(telemetry.sweepDone()))
                     .set("req_id", Json::string(telemetry.id));
     std::lock_guard<std::mutex> lock(write_mutex);
     writeFrame(fd, done, &telemetry.bytesOut);

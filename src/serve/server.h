@@ -8,10 +8,11 @@
  * resident so many overlapping clients share its warm state. One
  * accept loop hands each connection to a handler thread; a request
  * names a (config-class grid × workload subset × instruction budget)
- * cell space, which the handler shards over the process-wide
- * sim/parallel ThreadPool — the same persistent workers every
- * connection shares — streaming each cell's schema-v2 stats frame
- * back the moment the cell finishes. Materialized traces live in a
+ * cell space, which the handler runs through runSweep (sim/sweep.h)
+ * — the benches' sweep executor, with its collapsing, on the
+ * process-wide pool every connection shares — streaming each cell's
+ * schema-v2 stats frame back from runSweep's per-cell sink the
+ * moment the cell finishes. Materialized traces live in a
  * byte-budgeted LRU (serve/memo.h), so a repeated request pays only
  * replay.
  *
@@ -21,11 +22,13 @@
  * or server-assigned, see serve/protocol.h), an access-log line at
  * Info level, latency/size histograms (serve.request.latency_us,
  * serve.request.bytes_out, serve.request.cells, and the per-phase
- * serve.sweep.materialize_us / simulate_us / serialize_us), and —
- * when IBS_OBS_TRACE is set — one async span per request with flow
- * events stepping from the handler through materialization into
- * each cell on the pool threads. The "metrics" request exposes the
- * whole registry in Prometheus text exposition format.
+ * serve.sweep.materialize_us / simulate_us / serialize_us, and
+ * serve.sweep.latency_us, which records exactly the `latency_us` of
+ * each done frame), and — when IBS_OBS_TRACE is set — one async span
+ * per request with flow events stepping from the handler through
+ * materialization into each cell on the pool threads, next to
+ * runSweep's per-cell and per-group spans. The "metrics" request
+ * exposes the whole registry in Prometheus text exposition format.
  *
  * Admission control keeps the process answerable under overload:
  * at most `maxInflight` sweep requests execute at once and a request
@@ -68,8 +71,6 @@ struct ServerConfig
     uint64_t memoBytes = 512ull << 20; ///< Trace-memo budget.
     /** Per-request ceiling on cells × instructions-per-workload. */
     uint64_t maxTotalInstructions = 2'000'000'000;
-    /** Participant cap per request's cell loop; 0 = sweepThreads. */
-    unsigned threads = 0;
 
     /** Defaults overlaid with the IBS_SERVE_* environment. */
     static ServerConfig fromEnv();

@@ -19,8 +19,9 @@
  *     perfect L2, capturing the L1-refill reference stream as a
  *     run-encoded miss trace (SuiteTraces::missStream) — 5-50x
  *     shorter than the instruction stream;
- *  3. replay each L2 variant over the short stream and derive the
- *     full FetchStats arithmetically (runCollapsedGroup), exactly:
+ *  3. replay the short stream through each distinct L2 variant's
+ *     Cache and derive the full FetchStats arithmetically
+ *     (runCollapsedGroup), exactly:
  *
  *       l2Accesses   = misses in the stream
  *       l2Misses     = replayed L2 misses
@@ -31,19 +32,20 @@
  *     prefetch/bypass/stream-buffer counters are structurally zero
  *     for eligible configs).
  *
- * Variants sharing line size and LRU replacement go further: one
- * Mattson-style stack pass (sim/stack_sim.h) resolves every
- * (size, associativity) point in a single walk. Non-LRU or
- * odd-line-size members fall back to a per-variant Cache replay of
- * the miss stream — still far cheaper than a full cell. Configs that
- * fail the eligibility test (no real L2, prefetch, bypass,
- * pipelined/stream-buffer, unified L2) and singleton groups keep the
- * existing per-cell path.
+ * Replay is the only L2 path: members with identical L2 configs
+ * share one replay, and each replay costs a few probes per miss —
+ * far cheaper than a full cell. (A one-pass LRU stack simulation,
+ * sim/stack_sim.h, beats it only past ~48 distinct geometries per
+ * line size; no sweep grid has more than 5.) Configs that fail the
+ * eligibility test (no real L2, prefetch, bypass,
+ * pipelined/stream-buffer, unified L2) and singleton groups keep
+ * the existing per-cell path.
  *
- * runSweep and the sweep server always collapse. Results are
- * bit-identical to calling SuiteTraces::runOne on every cell — the
- * per-cell path ineligible configs still take, and the reference the
- * sweep_collapse_test suite and bench/sweep_collapse compare against.
+ * runSweep always collapses; the sweep server runs through it.
+ * Results are bit-identical to calling SuiteTraces::runOne on every
+ * cell — the per-cell path ineligible configs still take, and the
+ * reference the sweep_collapse_test suite and bench/sweep_collapse
+ * compare against.
  */
 
 #ifndef IBS_SIM_COLLAPSE_H
@@ -120,14 +122,13 @@ struct CollapsedCell
 
 /**
  * Resolve every member of `group` for one workload: capture (or
- * reuse) the leader's miss stream, stack-simulate the LRU
- * same-line-size buckets in one pass each, Cache-replay the rest,
- * and derive full FetchStats per member — bit-identical to
- * suite.runOne on each member config. Publishes, per member, the
- * same registry counters and the sim.cell.instructions histogram
- * sample runOne would have (synthesized from the capture run), so
- * obs snapshots are collapse-invariant. Returned cells are in member
- * order.
+ * reuse) the leader's miss stream, replay it through each distinct
+ * member L2 as a Cache, and derive full FetchStats per member —
+ * bit-identical to suite.runOne on each member config. Publishes,
+ * per member, the same registry counters and the
+ * sim.cell.instructions histogram sample runOne would have
+ * (synthesized from the capture run), so obs snapshots are
+ * collapse-invariant. Returned cells are in member order.
  */
 std::vector<CollapsedCell>
 runCollapsedGroup(const SuiteTraces &suite, size_t workload,

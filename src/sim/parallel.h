@@ -3,12 +3,13 @@
  * Shared thread-pool primitive for embarrassingly parallel index
  * spaces.
  *
- * The sweep executor (one task per (config, workload) cell), the
- * Tapeworm grid (one task per (page-mapping group, trial)) and
- * runCells (sim/cells.h, one task per paper-bench cell) fan
- * independent work items out over worker threads, and the simulation
- * server (src/serve) shards many concurrent requests over the same
- * workers.
+ * The sweep executor (sim/sweep.h, one task per (config, workload)
+ * cell or collapse group), the Tapeworm grid (one task per
+ * (page-mapping group, trial)) and runCells (sim/cells.h, one task
+ * per paper-bench cell) fan independent work items out over worker
+ * threads. The simulation server (src/serve) runs each request
+ * through the sweep executor, so many concurrent requests share the
+ * same workers.
  * ThreadPool owns a fixed set of persistent std::thread workers;
  * parallelFor schedules [0, total) onto them through a shared atomic
  * cursor, because item costs vary wildly (a 256-KB L2 cell or a

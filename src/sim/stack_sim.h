@@ -14,13 +14,12 @@
  * down to the referenced line, counting, per set mask, the entries
  * that share the reference's set.
  *
- * sim/collapse.h uses this to resolve a whole sweep group's deep L2
- * size x associativity ladders in one walk of the run-encoded miss
- * trace, instead of one cache replay per variant — but only past a
- * measured break-even in distinct geometries (see
- * kStackMinDistinctGeometries in collapse.cc); shallow grids like
- * fig3/fig4 replay faster. The counts are exact with respect to
- * cache/cache.h for demand-only LRU streams:
+ * sim/tlb_fanout.h uses this to resolve every TLB geometry of the
+ * TLB ablation in one walk of the page-reference stream. Sweep
+ * collapsing (sim/collapse.h) does not: the walk only beats one
+ * Cache replay per geometry past ~48 distinct geometries per line
+ * size, and no sweep grid has more than 5. The counts are exact
+ * with respect to cache/cache.h for demand-only LRU streams:
  *
  *  - hits: the stack-distance property above (Cache::access touches
  *    recency on every hit and allocates on every miss, i.e. pure

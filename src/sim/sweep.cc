@@ -25,7 +25,7 @@ sweepThreads()
 
 SweepResult
 runSweep(const SuiteTraces &suite, const std::vector<FetchConfig> &configs,
-         unsigned threads)
+         unsigned threads, const CellSink &sink)
 {
     // Fail fast, on the calling thread, before any work is scheduled.
     for (const FetchConfig &config : configs)
@@ -69,6 +69,8 @@ runSweep(const SuiteTraces &suite, const std::vector<FetchConfig> &configs,
             timing.wallSeconds = timer.seconds();
             timing.instructions = stats.instructions;
             progress.cellDone(stats.instructions);
+            if (sink)
+                sink(c, w, result.cell(c, w), timing);
             return;
         }
         const size_t g = (i - single_tasks) / workloads;
@@ -86,21 +88,12 @@ runSweep(const SuiteTraces &suite, const std::vector<FetchConfig> &configs,
             timing.instructions = cell.stats.instructions;
             timing.collapsed = !cell.leader;
             progress.cellDone(cell.stats.instructions);
+            if (sink)
+                sink(cell.config, w, result.cell(cell.config, w),
+                     timing);
         }
     });
     return result;
-}
-
-std::vector<FetchStats>
-sweepSuite(const SuiteTraces &suite, const std::vector<FetchConfig> &configs,
-           unsigned threads)
-{
-    const SweepResult result = runSweep(suite, configs, threads);
-    std::vector<FetchStats> out;
-    out.reserve(configs.size());
-    for (size_t c = 0; c < configs.size(); ++c)
-        out.push_back(result.suite(c));
-    return out;
 }
 
 } // namespace ibs

@@ -12,7 +12,8 @@
  * cell reads another cell's output and the merge in
  * SweepResult::suite always folds workloads in index order, the
  * result is bit-for-bit identical to the serial path regardless of
- * how the scheduler interleaves the work.
+ * how the scheduler interleaves the work. The sweep server runs each
+ * request through runSweep as well, streaming cells from its sink.
  *
  * Worker count: the `threads` argument if nonzero, else the
  * IBS_THREADS environment variable, else std::thread's hardware
@@ -24,6 +25,7 @@
 #define IBS_SIM_SWEEP_H
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "core/fetch_config.h"
@@ -139,6 +141,15 @@ class SweepResult
 };
 
 /**
+ * Per-cell callback of runSweep: grid index, workload index, and the
+ * cell's final stats and timing (the same objects the SweepResult
+ * holds). Called on the worker thread that computed the cell.
+ */
+using CellSink = std::function<void(size_t config, size_t workload,
+                                    const FetchStats &stats,
+                                    const CellTiming &timing)>;
+
+/**
  * Run every (config × workload) cell of the grid, in parallel when
  * more than one worker is available.
  *
@@ -151,22 +162,20 @@ class SweepResult
  * sim.sweep.{groups,collapsed_cells,fallback_cells} when the obs
  * registry is enabled.
  *
+ * `sink`, when set, sees each cell as soon as its slot is final —
+ * how the sweep server streams cells while the sweep still runs. A
+ * collapsed group reports its members in member order. The first
+ * exception a sink throws drains the loop and is rethrown here.
+ *
  * @param suite immutable traces, shared const across workers
  * @param configs grid points (validated before any thread starts)
  * @param threads worker count; 0 means sweepThreads()
+ * @param sink optional per-cell callback, called concurrently
  * @return per-cell stats, identical to calling runOne serially
  */
 SweepResult runSweep(const SuiteTraces &suite,
                      const std::vector<FetchConfig> &configs,
-                     unsigned threads = 0);
-
-/**
- * Convenience wrapper: suite-average stats per config, one merge per
- * grid point (what most benches want).
- */
-std::vector<FetchStats> sweepSuite(const SuiteTraces &suite,
-                                   const std::vector<FetchConfig> &configs,
-                                   unsigned threads = 0);
+                     unsigned threads = 0, const CellSink &sink = {});
 
 } // namespace ibs
 

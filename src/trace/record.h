@@ -15,7 +15,6 @@
 #define IBS_TRACE_RECORD_H
 
 #include <cstdint>
-#include <string>
 
 namespace ibs {
 
@@ -50,12 +49,6 @@ struct TraceRecord
         return vaddr == o.vaddr && asid == o.asid && kind == o.kind;
     }
 };
-
-/** Human-readable form, e.g. "I 3:0x00401230". */
-std::string toString(const TraceRecord &rec);
-
-/** Short name of a reference kind ("I", "R", "W"). */
-const char *kindName(RefKind kind);
 
 } // namespace ibs
 

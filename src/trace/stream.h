@@ -65,63 +65,6 @@ class VectorTraceStream : public TraceStream
     size_t pos_ = 0;
 };
 
-/** Pass through at most `limit` records of an underlying stream. */
-class TakeStream : public TraceStream
-{
-  public:
-    TakeStream(TraceStream &inner, uint64_t limit)
-        : inner_(inner), limit_(limit)
-    {}
-
-    bool
-    next(TraceRecord &rec) override
-    {
-        if (taken_ >= limit_)
-            return false;
-        if (!inner_.next(rec))
-            return false;
-        ++taken_;
-        return true;
-    }
-
-    void
-    reset() override
-    {
-        inner_.reset();
-        taken_ = 0;
-    }
-
-  private:
-    TraceStream &inner_;
-    uint64_t limit_;
-    uint64_t taken_ = 0;
-};
-
-/** Pass through only records matching a kind predicate. */
-class FilterKindStream : public TraceStream
-{
-  public:
-    FilterKindStream(TraceStream &inner, RefKind kind)
-        : inner_(inner), kind_(kind)
-    {}
-
-    bool
-    next(TraceRecord &rec) override
-    {
-        while (inner_.next(rec)) {
-            if (rec.kind == kind_)
-                return true;
-        }
-        return false;
-    }
-
-    void reset() override { inner_.reset(); }
-
-  private:
-    TraceStream &inner_;
-    RefKind kind_;
-};
-
 /** Drain an entire stream into a vector (test/diagnostic helper). */
 std::vector<TraceRecord> drain(TraceStream &stream,
                                uint64_t max_records = UINT64_MAX);

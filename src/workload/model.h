@@ -35,7 +35,8 @@ class WorkloadModel : public TraceStream
      */
     explicit WorkloadModel(const WorkloadSpec &spec, uint64_t seed = 0);
 
-    /** The stream never ends; callers bound it (e.g. TakeStream). */
+    /** The stream never ends; callers bound it (RunStream's
+     *  instruction count, drain's max_records). */
     bool next(TraceRecord &rec) override;
 
     /**

@@ -461,40 +461,27 @@ TEST(Serve, ServerHistogramAgreesWithClientLatencies)
     server.start();
     Client client(server.port());
 
-    // The same requests timed on both sides of the wire: client
-    // wall clocks here, the serve.sweep.latency_us histogram there.
-    std::vector<double> latencies;
+    // The same requests timed on both sides of the wire: each done
+    // frame's latency_us nests inside this client's clock, and the
+    // serve.sweep.latency_us histogram holds exactly those values.
+    std::vector<uint64_t> reported;
     for (int i = 0; i < 6; ++i) {
         WallTimer timer;
-        ASSERT_TRUE(client
-                        .sweep("ibs_mach", {"economy"},
-                               testWorkloads(), kInstr)
-                        .ok);
-        latencies.push_back(timer.seconds());
+        const Client::SweepResult result = client.sweep(
+            "ibs_mach", {"economy"}, testWorkloads(), kInstr);
+        const uint64_t client_us =
+            static_cast<uint64_t>(timer.seconds() * 1e6);
+        ASSERT_TRUE(result.ok);
+        EXPECT_LE(result.latencyUs, client_us) << "request " << i;
+        reported.push_back(result.latencyUs);
     }
-    std::sort(latencies.begin(), latencies.end());
 
     obs::PromHistogram hist;
     ASSERT_TRUE(obs::parsePromHistogram(
         client.metricsText(), "ibs_serve_sweep_latency_us", hist));
-    ASSERT_EQ(hist.count, 6u);
-
-    // Both sides at log2-bucket resolution: one bucket of slack
-    // (2x) absorbs the wire round trip; more is a real divergence.
-    for (double q : {0.50, 0.99}) {
-        const size_t index = static_cast<size_t>(
-            q * static_cast<double>(latencies.size() - 1) + 0.5);
-        const double client_edge = static_cast<double>(
-            obs::log2BucketUpperEdge(static_cast<uint64_t>(
-                latencies[std::min(index, latencies.size() - 1)] *
-                1e6)));
-        const double server_edge = hist.quantile(q);
-        const double hi = std::max(client_edge, server_edge);
-        const double lo = std::min(client_edge, server_edge);
-        EXPECT_LE(hi / lo, 2.01)
-            << "q=" << q << " client<=" << client_edge
-            << "us server<=" << server_edge << "us";
-    }
+    std::string error;
+    EXPECT_TRUE(obs::promHistogramHolds(hist, reported, error))
+        << error;
 }
 
 TEST(Serve, CatalogNamesResolveAndValidate)

@@ -81,10 +81,10 @@ TEST(Sweep, SuiteMergeMatchesRunSuite)
 {
     SuiteTraces suite(specSuite(), 15000);
     const std::vector<FetchConfig> grid = smallGrid();
-    const std::vector<FetchStats> swept = sweepSuite(suite, grid, 4);
-    ASSERT_EQ(swept.size(), grid.size());
+    const SweepResult swept = runSweep(suite, grid, 4);
+    ASSERT_EQ(swept.configCount(), grid.size());
     for (size_t c = 0; c < grid.size(); ++c)
-        expectEqualStats(swept[c], suite.runSuite(grid[c]),
+        expectEqualStats(swept.suite(c), suite.runSuite(grid[c]),
                          "config " + std::to_string(c));
 }
 

@@ -42,14 +42,6 @@ TEST(TraceRecord, Predicates)
     EXPECT_TRUE(store.isWrite());
 }
 
-TEST(TraceRecord, ToString)
-{
-    TraceRecord rec{0x1000, 3, RefKind::InstrFetch};
-    EXPECT_EQ(toString(rec), "I 3:0x00001000");
-    rec.kind = RefKind::DataWrite;
-    EXPECT_EQ(toString(rec), "W 3:0x00001000");
-}
-
 TEST(VectorTraceStream, ProducesAllThenEnds)
 {
     VectorTraceStream s(sampleRecords());
@@ -69,32 +61,6 @@ TEST(VectorTraceStream, ResetReplays)
     s.reset();
     ASSERT_TRUE(s.next(b));
     EXPECT_EQ(a, b);
-}
-
-TEST(TakeStream, LimitsCount)
-{
-    VectorTraceStream inner(sampleRecords());
-    TakeStream take(inner, 3);
-    EXPECT_EQ(drain(take).size(), 3u);
-}
-
-TEST(TakeStream, ResetRestoresBudget)
-{
-    VectorTraceStream inner(sampleRecords());
-    TakeStream take(inner, 2);
-    drain(take);
-    take.reset();
-    EXPECT_EQ(drain(take).size(), 2u);
-}
-
-TEST(FilterKindStream, SelectsKind)
-{
-    VectorTraceStream inner(sampleRecords());
-    FilterKindStream instr(inner, RefKind::InstrFetch);
-    const auto out = drain(instr);
-    EXPECT_EQ(out.size(), 4u);
-    for (const auto &rec : out)
-        EXPECT_TRUE(rec.isInstr());
 }
 
 TEST(MonsterCapture, NonInvasivePassThrough)

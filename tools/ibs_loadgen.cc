@@ -19,19 +19,20 @@
  * latency with one cold outlier per distinct key). --shutdown sends a
  * shutdown request after the load completes.
  *
- * After the run the server's own sweep-latency histogram
- * (ibs_serve_sweep_latency_us from the `metrics` request) is printed
- * next to the client-side percentiles. Both sides are compared at
- * log2-bucket resolution — the client's exact percentile is
- * bucketized with obs::log2BucketUpperEdge — so two views of the
- * same distribution land on the same edge instead of flaking at
- * power-of-two boundaries. Under --check, a divergence of more than
- * one bucket (i.e. more than 2x) at p50 or p99 is a hard failure
- * with a message naming both sides. --check is meaningful with
- * --connections 1: with concurrent clients on a busy machine, time
- * a request spends queued in the socket buffer before the server
- * reads the frame is visible only to the client clock, so the two
- * views legitimately differ.
+ * Under --check, every request is cross-checked against the server's
+ * own view of it, exactly:
+ *
+ *   - the done frame's latency_us is at most this client's clock
+ *     around the same request (the server interval nests inside the
+ *     client's on one steady clock);
+ *   - the server's sweep-latency histogram (ibs_serve_sweep_latency_us
+ *     from the `metrics` request, less a scrape taken before the
+ *     load) holds exactly the reported latency_us values, bucketized
+ *     with log2BucketUpperEdge.
+ *
+ * Either failing is a hard failure naming the request or bucket. The
+ * histogram check assumes no other client sweeps the server during
+ * the run.
  */
 
 #include <algorithm>
@@ -46,7 +47,6 @@
 #include <vector>
 
 #include "obs/prom.h"
-#include "obs/registry.h"
 #include "serve/client.h"
 #include "stats/report.h"
 
@@ -65,7 +65,7 @@ struct Options
     std::vector<std::string> workloads; ///< Empty = full suite.
     uint64_t instructions = 200000;
     bool shutdown = false;
-    bool check = false; ///< Fail on client/server p50/p99 divergence.
+    bool check = false; ///< Cross-check server latencies exactly.
 };
 
 std::vector<std::string>
@@ -151,33 +151,6 @@ percentile(std::vector<double> sorted, double p)
     return sorted[std::min(index, sorted.size() - 1)];
 }
 
-/**
- * Compare one client-side percentile (seconds) against the server
- * histogram's bucket-edge quantile (microseconds), both at log2
- * bucket resolution. Adjacent buckets agree to within 2x and pass;
- * two or more buckets apart is a real divergence. Prints one line
- * either way; returns false on divergence.
- */
-bool
-comparePercentile(const char *label, double client_seconds,
-                  double server_edge_us)
-{
-    const uint64_t client_us = static_cast<uint64_t>(
-        client_seconds * 1e6);
-    const double client_edge = static_cast<double>(
-        ibs::obs::log2BucketUpperEdge(client_us));
-    const double hi = std::max(client_edge, server_edge_us);
-    const double lo = std::min(client_edge, server_edge_us);
-    // lo > 0 always (bucket edges are >= 1); 2.01 admits exactly one
-    // bucket of slack (adjacent edges ratio ~2.0005).
-    const bool agree = hi / lo <= 2.01;
-    std::printf("%s client=%.0fus (bucket<=%.0f) server_bucket<=%.0f "
-                "%s\n",
-                label, static_cast<double>(client_us), client_edge,
-                server_edge_us, agree ? "agree" : "DIVERGE");
-    return agree;
-}
-
 } // namespace
 
 int
@@ -186,9 +159,28 @@ main(int argc, char **argv)
     std::signal(SIGPIPE, SIG_IGN);
     const Options opt = parseArgs(argc, argv);
 
+    // The server histogram before the load, so --check compares
+    // only the observations this run adds.
+    obs::PromHistogram before;
+    bool have_before = false;
+    if (opt.check) {
+        try {
+            serve::Client client(opt.port);
+            have_before = obs::parsePromHistogram(
+                client.metricsText(), "ibs_serve_sweep_latency_us",
+                before);
+        } catch (const std::exception &e) {
+            std::fprintf(stderr, "loadgen: metrics scrape failed: %s\n",
+                         e.what());
+            return 1;
+        }
+    }
+
     std::mutex mutex;
     std::vector<double> latencies; ///< Seconds, one per request.
+    std::vector<uint64_t> reported; ///< Server latency_us, same order.
     uint64_t completed = 0, rejected = 0, failed = 0, cells = 0;
+    uint64_t nesting_violations = 0;
 
     WallTimer run_timer;
     std::vector<std::thread> threads;
@@ -203,11 +195,26 @@ main(int argc, char **argv)
                                      opt.workloads,
                                      opt.instructions);
                     const double seconds = request_timer.seconds();
+                    const uint64_t client_us =
+                        static_cast<uint64_t>(seconds * 1e6);
                     std::lock_guard<std::mutex> lock(mutex);
                     if (result.ok) {
                         ++completed;
                         cells += result.cells.size();
                         latencies.push_back(seconds);
+                        reported.push_back(result.latencyUs);
+                        if (result.latencyUs > client_us) {
+                            ++nesting_violations;
+                            std::fprintf(
+                                stderr,
+                                "loadgen: server latency_us=%llu "
+                                "exceeds the client's %llu us for "
+                                "the same request\n",
+                                static_cast<unsigned long long>(
+                                    result.latencyUs),
+                                static_cast<unsigned long long>(
+                                    client_us));
+                        }
                     } else if (result.errorCode == 429) {
                         ++rejected;
                     } else {
@@ -246,47 +253,36 @@ main(int argc, char **argv)
                 wall > 0 ? static_cast<double>(completed) / wall : 0,
                 p50, p99);
 
-    // Server-side view of the same requests: the sweep-latency
-    // histogram from the metrics endpoint, printed next to the
-    // client percentiles (and gated under --check).
-    bool check_ok = true;
-    if (completed > 0) {
+    bool check_ok = nesting_violations == 0;
+    if (opt.check && completed > 0) {
         try {
             serve::Client client(opt.port);
-            const std::string text = client.metricsText();
-            obs::PromHistogram latency;
-            if (obs::parsePromHistogram(
-                    text, "ibs_serve_sweep_latency_us", latency) &&
-                latency.count > 0) {
-                const bool ok50 = comparePercentile(
-                    "p50:", p50, latency.quantile(0.50));
-                const bool ok99 = comparePercentile(
-                    "p99:", p99, latency.quantile(0.99));
-                check_ok = ok50 && ok99;
-                if (!check_ok && opt.check)
-                    std::fprintf(
-                        stderr,
-                        "loadgen: server-side sweep latency "
-                        "percentiles diverge from client-side by "
-                        "more than 2x (see the p50:/p99: lines "
-                        "above); the server histogram and the "
-                        "client clock disagree about the same "
-                        "requests\n");
-            } else {
+            obs::PromHistogram after;
+            std::string error;
+            if (!obs::parsePromHistogram(client.metricsText(),
+                                         "ibs_serve_sweep_latency_us",
+                                         after))
+                error = "server metrics carry no "
+                        "ibs_serve_sweep_latency_us histogram";
+            else if (obs::promHistogramHolds(
+                         after, reported, error,
+                         have_before ? &before : nullptr))
+                std::printf("check: the server histogram holds "
+                            "exactly the %llu reported latencies\n",
+                            static_cast<unsigned long long>(
+                                reported.size()));
+            if (!error.empty()) {
                 check_ok = false;
-                if (opt.check)
-                    std::fprintf(
-                        stderr,
-                        "loadgen: server metrics carry no "
-                        "ibs_serve_sweep_latency_us histogram — "
-                        "cannot cross-check percentiles\n");
+                std::fprintf(stderr,
+                             "loadgen: server sweep-latency histogram "
+                             "disagrees with the reported latencies: "
+                             "%s\n",
+                             error.c_str());
             }
         } catch (const std::exception &e) {
             check_ok = false;
-            if (opt.check)
-                std::fprintf(stderr,
-                             "loadgen: metrics scrape failed: %s\n",
-                             e.what());
+            std::fprintf(stderr, "loadgen: metrics scrape failed: %s\n",
+                         e.what());
         }
     }
 
